@@ -6,7 +6,7 @@
 // Usage:
 //
 //	lrd -addr 127.0.0.1:8080 -topo grid -n 10000 \
-//	    [-engine sharded] [-shards 8] [-partition locality] \
+//	    [-shards 8] [-partition locality] \
 //	    [-faults flaky] [-seed 1] [-publish 25ms] \
 //	    [-log-level info] [-pprof] [-flightrec] [-flightrec-sample 1]
 //
@@ -45,17 +45,6 @@ func main() {
 	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "lrd:", err)
 		os.Exit(1)
-	}
-}
-
-func parseEngine(s string) (lr.DistEngine, error) {
-	switch strings.ToLower(s) {
-	case "", "goroutine", "goroutine-per-node":
-		return lr.DistGoroutinePerNode, nil
-	case "sharded":
-		return lr.DistSharded, nil
-	default:
-		return 0, fmt.Errorf("unknown engine %q (goroutine, sharded)", s)
 	}
 }
 
@@ -123,9 +112,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		addr      = fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 		topoName  = fs.String("topo", "grid", "topology: chain, bad-chain, star, grid, tree, ring, random")
 		n         = fs.Int("n", 10000, "total node budget")
-		engName   = fs.String("engine", "goroutine", "execution engine: goroutine, sharded")
-		shards    = fs.Int("shards", 0, "shard count for -engine sharded (0 = GOMAXPROCS)")
-		partName  = fs.String("partition", "block", "sharded partition: block, hash, locality")
+		shards    = fs.Int("shards", 0, "engine shard count (0 = GOMAXPROCS)")
+		partName  = fs.String("partition", "block", "node-to-shard partition: block, hash, locality")
 		faultName = fs.String("faults", "none", "fault scenario: none, lossy, flaky, adversarial")
 		seed      = fs.Int64("seed", 1, "seed for random topologies and the fault adversary")
 		publish   = fs.Duration("publish", 25*time.Millisecond, "epoch snapshot cadence (0 = publish only at quiescence)")
@@ -142,10 +130,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	logger := slog.New(slog.NewTextHandler(out, &slog.HandlerOptions{Level: level}))
-	engine, err := parseEngine(*engName)
-	if err != nil {
-		return err
-	}
 	partition, err := parsePartition(*partName)
 	if err != nil {
 		return err
@@ -173,7 +157,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	network, err := lr.NewDynamicNetworkWith(topo, lr.DynNetOptions{
-		Engine:       engine,
 		Shards:       *shards,
 		Partition:    partition,
 		Adversary:    adversary,
@@ -195,7 +178,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		"topology", topo.Name,
 		"elapsed", time.Since(start).Round(time.Millisecond),
 		"nodes", topo.Graph.NumNodes(),
-		"engine", engine,
+		"shards", *shards,
 		"faults", scenarioName(adversary))
 
 	l, err := net.Listen("tcp", *addr)
@@ -209,7 +192,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	cfg := lr.ServeConfig{
 		Topology:       topo.Name,
-		Engine:         engine.String(),
+		Engine:         lr.DistSharded.String(),
 		Shards:         *shards,
 		Partition:      partition.String(),
 		Scenario:       scenarioName(adversary),

@@ -110,7 +110,7 @@ func TestDaemonServesAndDrains(t *testing.T) {
 func TestDaemonShardedFlaky(t *testing.T) {
 	addr, shutdown := startDaemon(t, []string{
 		"-topo", "grid", "-n", "64",
-		"-engine", "sharded", "-shards", "4", "-partition", "locality",
+		"-shards", "4", "-partition", "locality",
 		"-faults", "flaky", "-seed", "7", "-publish", "1ms",
 	})
 	resp, err := http.Get("http://" + addr + "/route/63")
@@ -134,7 +134,7 @@ func TestDaemonShardedFlaky(t *testing.T) {
 func TestDaemonFlightRecorder(t *testing.T) {
 	addr, shutdown := startDaemon(t, []string{
 		"-topo", "grid", "-n", "64",
-		"-engine", "sharded", "-shards", "4",
+		"-shards", "4",
 		"-faults", "lossy", "-seed", "3", "-publish", "1ms",
 		"-flightrec", "-pprof",
 	})
@@ -230,7 +230,6 @@ func TestRunFlagErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-nope"},
 		{"-topo", "torus"},
-		{"-engine", "quantum"},
 		{"-partition", "psychic"},
 		{"-faults", "solar-flare"},
 		{"-n", "1"},

@@ -87,7 +87,7 @@ func run(args []string) error {
 			return err
 		}
 	} else {
-		render(rep)
+		render(rep, *n)
 	}
 	if len(rep.Reproducers) > 0 {
 		return fmt.Errorf("%d oracle breach(es) found", len(rep.Reproducers))
@@ -95,8 +95,8 @@ func run(args []string) error {
 	return nil
 }
 
-// render prints the human-readable summary.
-func render(rep *hunt.Report) {
+// render prints the human-readable summary of a hunt on n nodes.
+func render(rep *hunt.Report, n int) {
 	fmt.Printf("hunt on %s, %s, fitness=%s, %d evaluations\n",
 		rep.Topology, rep.Algorithm, rep.Fitness, rep.Evaluations)
 	if rep.PresetBest != nil {
@@ -117,11 +117,24 @@ func render(rep *hunt.Report) {
 		}
 		fmt.Printf("  %s %12.2f  steps=%-8d work=%-8d retrans=%-8d skew=%.2f  %s/%s\n",
 			tag, ev.Score, ev.Stats.Steps, ev.Stats.TotalReversals, ev.Stats.Retransmits,
-			ev.Skew, ev.Candidate.Engine, ev.Candidate.Genome.Scenario())
+			ev.Skew, shardLayout(ev.Candidate.Shards, n), ev.Candidate.Genome.Scenario())
 	}
 	for i, r := range rep.Reproducers {
 		fmt.Printf("BREACH %d: %s (shrunk to %s n=%d, %d shrink runs, witness %d, %d recorded events)\n",
 			i, r.Breaches[0], r.Topo.Kind, r.Topo.N, r.ShrinkRuns, r.WitnessLen, len(r.Events))
+	}
+}
+
+// shardLayout renders a candidate's shard count on an n-node topology: 0 is
+// the GOMAXPROCS default, and a count of n or more runs one node per shard.
+func shardLayout(shards, n int) string {
+	switch {
+	case shards == 0:
+		return "default-shards"
+	case shards >= n:
+		return "node-per-shard"
+	default:
+		return fmt.Sprintf("%d-shards", shards)
 	}
 }
 

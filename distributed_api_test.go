@@ -54,9 +54,9 @@ func TestRunDistributedAllTopologies(t *testing.T) {
 	}
 }
 
-// TestRunDistributedWithSharded pins the sharded engine behind the public
-// API: same invariants as the goroutine engine, identical final
-// orientation, and a batch count bounded by the message count.
+// TestRunDistributedWithSharded pins an explicit shard layout behind the
+// public API: same invariants as the default RunDistributed, identical
+// final orientation, and a batch count bounded by the message count.
 func TestRunDistributedWithSharded(t *testing.T) {
 	for _, topo := range []*lr.Topology{
 		lr.AlternatingChain(11),
@@ -85,7 +85,7 @@ func TestRunDistributedWithSharded(t *testing.T) {
 					t.Errorf("bad outcome %+v", rep)
 				}
 				if !rep.Final.Equal(ref.Final) {
-					t.Error("sharded engine final orientation diverged from goroutine engine")
+					t.Error("3-shard hash-partitioned final orientation diverged from the default run")
 				}
 				if rep.Batches > rep.Messages {
 					t.Errorf("batches %d > messages %d", rep.Batches, rep.Messages)
@@ -114,9 +114,10 @@ func TestRunDistributedWithBadOptions(t *testing.T) {
 
 // TestRunDistributedWithNetworkAdversary exercises fault injection behind
 // the public API: under every preset adversary (and a composed custom
-// one), both engines must absorb the interference via retransmission and
+// one), the engine must absorb the interference via retransmission and
 // land on the fault-free final orientation, with the fault counters
-// reporting what happened.
+// reporting what happened — with one node per shard, so every node runs on
+// a goroutine of its own, and with the default shard count.
 func TestRunDistributedWithNetworkAdversary(t *testing.T) {
 	topo := lr.Grid(5, 5)
 	ref, err := lr.RunDistributed(context.Background(), topo, lr.DistPR)
@@ -135,14 +136,20 @@ func TestRunDistributedWithNetworkAdversary(t *testing.T) {
 		lr.AdversarialNetwork(7),
 		custom,
 	} {
-		for _, engine := range []lr.DistEngine{lr.DistGoroutinePerNode, lr.DistSharded} {
-			adv, engine := adv, engine
-			t.Run(adv.Scenario+"/"+engine.String(), func(t *testing.T) {
+		for _, layout := range []struct {
+			name   string
+			shards int
+		}{
+			{"goroutine-per-node", topo.Graph.NumNodes()},
+			{"sharded", 0},
+		} {
+			adv, layout := adv, layout
+			t.Run(adv.Scenario+"/"+layout.name, func(t *testing.T) {
 				t.Parallel()
 				ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 				defer cancel()
 				rep, err := lr.RunDistributedWith(ctx, topo, lr.DistPR, lr.DistOptions{
-					Engine:    engine,
+					Shards:    layout.shards,
 					Adversary: adv,
 				})
 				if err != nil {

@@ -36,7 +36,6 @@ func TestCoalescingConfluence(t *testing.T) {
 	defer cancel()
 	run := func(coalesce Coalescing) *Result {
 		res, err := RunWith(ctx, in, FullReversal, Options{
-			Engine:    Sharded,
 			Shards:    4,
 			Partition: PartitionHash,
 			Coalesce:  coalesce,
@@ -49,7 +48,10 @@ func TestCoalescingConfluence(t *testing.T) {
 	}
 	on := run(CoalesceOn)
 	off := run(CoalesceOff)
-	ref, err := RunWith(ctx, in, FullReversal, Options{Engine: GoroutinePerNode, Adversary: dupHeavy(7)})
+	// The reference runs on one shard: no shard boundary, so nothing is
+	// remote and nothing can coalesce, while the fault injector's decisions
+	// — a pure function of (seed, link, seq, attempt) — stay comparable.
+	ref, err := RunWith(ctx, in, FullReversal, Options{Shards: 1, Adversary: dupHeavy(7)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,13 +79,13 @@ func TestCoalescingConfluence(t *testing.T) {
 			on.Stats.Remote, off.Stats.Remote)
 	}
 	if ref.Stats.Remote != 0 || ref.Stats.Coalesced != 0 {
-		t.Errorf("goroutine engine reports Remote=%d Coalesced=%d, want 0,0 (no shard boundary)",
+		t.Errorf("single-shard reference reports Remote=%d Coalesced=%d, want 0,0 (no shard boundary)",
 			ref.Stats.Remote, ref.Stats.Coalesced)
 	}
 	if on.Stats.Drops != ref.Stats.Drops || on.Stats.Dups != ref.Stats.Dups ||
 		on.Stats.Held != ref.Stats.Held || on.Stats.Retransmits != ref.Stats.Retransmits ||
 		on.Stats.Acks != ref.Stats.Acks {
-		t.Errorf("fault ledger diverged from the goroutine reference:\n  sharded   %+v\n  goroutine %+v",
+		t.Errorf("fault ledger diverged from the single-shard reference:\n  4 shards %+v\n  1 shard  %+v",
 			on.Stats, ref.Stats)
 	}
 
@@ -123,7 +125,6 @@ func TestCoalescedSteadyStateAllocs(t *testing.T) {
 	measure := func(coalesce Coalescing) float64 {
 		run := func() {
 			res, err := RunWith(context.Background(), in, FullReversal, Options{
-				Engine:      Sharded,
 				Shards:      3,
 				RecordTrace: TraceOff,
 				Coalesce:    coalesce,

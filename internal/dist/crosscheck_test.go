@@ -26,6 +26,36 @@ func sequentialTwin(alg Algorithm, in *core.Init) (automaton.Automaton, []automa
 	}
 }
 
+// quiescentTwin runs alg's sequential twin on in to quiescence, always
+// stepping the first enabled action, and returns it: the reference final
+// orientation and total work that every engine configuration must
+// reproduce.
+func quiescentTwin(t testing.TB, alg Algorithm, in *core.Init) automaton.Automaton {
+	t.Helper()
+	twin, _, err := sequentialTwin(alg, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !twin.Quiescent() {
+		if err := twin.Step(twin.Enabled()[0]); err != nil {
+			t.Fatalf("sequential twin step %d: %v", twin.Steps(), err)
+		}
+	}
+	return twin
+}
+
+// requireTwinAgrees checks a distributed run against a quiescent
+// sequential twin: the same final orientation and the same total work.
+func requireTwinAgrees(t testing.TB, twin automaton.Automaton, res *Result, name string) {
+	t.Helper()
+	if !res.Final.Equal(twin.Orientation()) {
+		t.Errorf("%s: final orientation diverged from the sequential twin", name)
+	}
+	if want := twin.(interface{ TotalReversals() int }).TotalReversals(); res.Stats.TotalReversals != want {
+		t.Errorf("%s: %d reversals, sequential twin %d", name, res.Stats.TotalReversals, want)
+	}
+}
+
 // TestDistributedMatchesSequential replays each distributed run's recorded
 // step linearization on the matching sequential automaton over a seed
 // sweep, for every engine configuration. Every step must satisfy the
@@ -42,7 +72,7 @@ func TestDistributedMatchesSequential(t *testing.T) {
 			for _, alg := range allAlgorithms() {
 				for _, opts := range testEngines(t) {
 					topo, alg, seed, opts := topo, alg, seed, opts
-					t.Run(fmt.Sprintf("%s/%v/seed%d/%v", topo.Name, alg, seed, opts.Engine), func(t *testing.T) {
+					t.Run(fmt.Sprintf("%s/%v/seed%d/%s", topo.Name, alg, seed, configName(opts.Shards)), func(t *testing.T) {
 						t.Parallel()
 						in, err := topo.Init()
 						if err != nil {

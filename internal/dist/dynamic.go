@@ -20,9 +20,8 @@ import (
 // over a topology that changes at runtime. Links are added and failed, and
 // nodes added, removed, crashed and recovered, through the control-plane
 // methods; nodes learn about changes via messages, exactly like they learn
-// about neighbour heights. Two execution backends are available through
-// DynOptions: the goroutine-per-node reference and a sharded worker pool
-// that runs the same per-node logic on O(shards) goroutines.
+// about neighbour heights. The nodes run on a sharded worker pool of
+// O(shards) goroutines, tuned through DynOptions.
 //
 // Partition detection is exact: a component cut off from the destination
 // escalates through TORA reference levels — generate on a failure-caused
@@ -109,7 +108,7 @@ type DynamicNetwork struct {
 	stopped  bool
 
 	inj *faults.Injector
-	be  dynBackend
+	be  *dynShardBackend
 
 	// pub is the epoch-snapshot publication slot: an immutable *Snapshot
 	// swapped in atomically (RCU-style) by the serialized control plane, so
@@ -134,7 +133,7 @@ type DynamicNetwork struct {
 }
 
 // NewDynamicNetwork starts the protocol on topo's graph with the default
-// options (goroutine-per-node backend, reliable network), with initial
+// options (GOMAXPROCS shards, reliable network), with initial
 // heights chosen so the derived link directions equal topo's initial
 // orientation. Call AwaitQuiescence before reading a Snapshot, and Stop
 // when done.
@@ -199,15 +198,9 @@ func NewDynamicNetworkWith(topo *workload.Topology, opts DynOptions) (*DynamicNe
 	if opts.Adversary != nil {
 		d.inj = faults.NewInjector(opts.Adversary)
 	}
-	if opts.Observer != nil {
-		// One sink per shard plus the control plane; backends pick their
-		// sinks up from opts during construction below.
-		if opts.Engine == Sharded {
-			opts.Observer.Attach(opts.Shards)
-		} else {
-			opts.Observer.Attach(1)
-		}
-	}
+	// One sink per shard plus the control plane; the shards pick theirs up
+	// from opts during construction below.
+	opts.Observer.Attach(opts.Shards)
 	states := make([]*dynState, n)
 	for u := 0; u < n; u++ {
 		st := &dynState{net: d, id: graph.NodeID(u), h: d.heights[u]}
@@ -220,12 +213,7 @@ func NewDynamicNetworkWith(topo *workload.Topology, opts DynOptions) (*DynamicNe
 		}
 		states[u] = st
 	}
-	switch opts.Engine {
-	case Sharded:
-		d.be = newDynShardBackend(d, states)
-	default:
-		d.be = newDynGoBackend(d, states)
-	}
+	d.be = newDynShardBackend(d, states)
 	d.be.start()
 	// Publish the initial state as epoch 1 so ReadSnapshot never returns
 	// nil, then start the cadence publisher if one was configured.
@@ -315,11 +303,6 @@ func (d *DynamicNetwork) fanout(st *dynState, m dynMsg, deliver func(dynMsg), si
 		return
 	}
 }
-
-// inject delivers a control message to m.To. The in-flight token was
-// accounted by the caller under mu, so AwaitQuiescence cannot report
-// quiescence before the message is handled.
-func (d *DynamicNetwork) inject(m dynMsg) { d.be.inject(m) }
 
 func (d *DynamicNetwork) validNode(u graph.NodeID) error {
 	if int(u) < 0 || int(u) >= d.n {
@@ -418,12 +401,12 @@ func (d *DynamicNetwork) AddLink(u, v graph.NodeID) error {
 	d.inflight += len(erase) + 2 + len(pokes)
 	d.mu.Unlock()
 	for _, m := range erase {
-		d.inject(m)
+		d.be.inject(m)
 	}
-	d.inject(dynMsg{Kind: dynLinkUp, To: u, Peer: v})
-	d.inject(dynMsg{Kind: dynLinkUp, To: v, Peer: u})
+	d.be.inject(dynMsg{Kind: dynLinkUp, To: u, Peer: v})
+	d.be.inject(dynMsg{Kind: dynLinkUp, To: v, Peer: u})
 	for _, id := range pokes {
-		d.inject(dynMsg{Kind: dynPoke, To: id})
+		d.be.inject(dynMsg{Kind: dynPoke, To: id})
 	}
 	return nil
 }
@@ -456,8 +439,8 @@ func (d *DynamicNetwork) FailLink(u, v graph.NodeID) error {
 	d.topoVer++
 	d.inflight += 2
 	d.mu.Unlock()
-	d.inject(dynMsg{Kind: dynLinkDown, To: u, Peer: v})
-	d.inject(dynMsg{Kind: dynLinkDown, To: v, Peer: u})
+	d.be.inject(dynMsg{Kind: dynLinkDown, To: u, Peer: v})
+	d.be.inject(dynMsg{Kind: dynLinkDown, To: v, Peer: u})
 	return nil
 }
 
@@ -543,9 +526,9 @@ func (d *DynamicNetwork) RemoveNode(u graph.NodeID) error {
 	d.topoVer++
 	d.inflight += 1 + len(links)
 	d.mu.Unlock()
-	d.inject(dynMsg{Kind: dynRemove, To: u})
+	d.be.inject(dynMsg{Kind: dynRemove, To: u})
 	for _, v := range links {
-		d.inject(dynMsg{Kind: dynLinkDown, To: v, Peer: u})
+		d.be.inject(dynMsg{Kind: dynLinkDown, To: v, Peer: u})
 	}
 	return nil
 }
@@ -573,7 +556,7 @@ func (d *DynamicNetwork) Crash(u graph.NodeID) error {
 	d.everCrashed = true
 	d.inflight++
 	d.mu.Unlock()
-	d.inject(dynMsg{Kind: dynCrash, To: u})
+	d.be.inject(dynMsg{Kind: dynCrash, To: u})
 	return nil
 }
 
@@ -606,7 +589,7 @@ func (d *DynamicNetwork) Recover(u graph.NodeID) error {
 	d.crashedCtl[u] = false
 	d.inflight++
 	d.mu.Unlock()
-	d.inject(dynMsg{Kind: dynRecover, To: u, Views: views})
+	d.be.inject(dynMsg{Kind: dynRecover, To: u, Views: views})
 	return nil
 }
 
@@ -809,7 +792,7 @@ func (d *DynamicNetwork) AwaitQuiescence() error {
 			d.inflight += len(msgs)
 			d.mu.Unlock()
 			for _, m := range msgs {
-				d.inject(m)
+				d.be.inject(m)
 			}
 			d.mu.Lock()
 			continue
@@ -825,7 +808,7 @@ func (d *DynamicNetwork) AwaitQuiescence() error {
 				d.inflight++
 				id := graph.NodeID(id)
 				d.mu.Unlock()
-				d.inject(dynMsg{Kind: dynPoke, To: id})
+				d.be.inject(dynMsg{Kind: dynPoke, To: id})
 				d.mu.Lock()
 			}
 			if pokes > 0 {
@@ -838,7 +821,7 @@ func (d *DynamicNetwork) AwaitQuiescence() error {
 	}
 }
 
-// Stop terminates every backend goroutine and waits for them to exit. It
+// Stop terminates every shard goroutine and waits for them to exit. It
 // is idempotent and wakes any AwaitQuiescence caller with ErrStopped.
 func (d *DynamicNetwork) Stop() {
 	d.stopOnce.Do(func() {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"sync"
 	"testing"
 
@@ -13,26 +12,26 @@ import (
 	"linkreversal/internal/workload"
 )
 
-// dynEngines returns the DynamicNetwork backend configurations exercised
-// by this test process, following the same LR_DIST_ENGINE / LR_DIST_FAULTS
-// environment matrix as testEngines: both backends by default, the sharded
-// one pinned to three shards so cross-shard batching is exercised on any
-// machine, and every configuration carrying the selected fault adversary.
+// dynEngines returns the DynamicNetwork engine configurations exercised by
+// this test process, following the same LR_DIST_FAULTS environment matrix
+// as testEngines: one node per shard (resolved by dynNet), and three
+// shards so cross-shard batching is exercised on any machine, every
+// configuration carrying the selected fault adversary.
 func dynEngines(t testing.TB) []DynOptions {
 	adv := testAdversary(t)
-	gpn := DynOptions{Engine: GoroutinePerNode, Adversary: adv}
-	sharded := DynOptions{Engine: Sharded, Shards: 3, Adversary: adv}
-	switch v := os.Getenv("LR_DIST_ENGINE"); v {
-	case "", "both":
-		return []DynOptions{gpn, sharded}
-	case "goroutine":
-		return []DynOptions{gpn}
-	case "sharded":
-		return []DynOptions{sharded}
-	default:
-		t.Fatalf("unknown LR_DIST_ENGINE %q (want goroutine, sharded or both)", v)
-		return nil
+	return []DynOptions{
+		{Shards: perNodeShards, Adversary: adv},
+		{Shards: 3, Adversary: adv},
 	}
+}
+
+// dynNet starts a network on topo, resolving the one-node-per-shard marker
+// perNodeShards to the topology's node count.
+func dynNet(topo *workload.Topology, opts DynOptions) (*DynamicNetwork, error) {
+	if opts.Shards == perNodeShards {
+		opts.Shards = topo.Graph.NumNodes()
+	}
+	return NewDynamicNetworkWith(topo, opts)
 }
 
 // requireRoutes asserts that every node of the snapshot's destination
@@ -51,8 +50,8 @@ func requireRoutes(t *testing.T, s *Snapshot, n int, dst graph.NodeID) {
 }
 
 // TestDynamicInitialConvergence starts the network on assorted topologies
-// under every backend and checks that it quiesces with a route from every
-// node.
+// under every engine configuration and checks that it quiesces with a
+// route from every node.
 func TestDynamicInitialConvergence(t *testing.T) {
 	for _, opts := range dynEngines(t) {
 		for _, topo := range []*workload.Topology{
@@ -62,9 +61,9 @@ func TestDynamicInitialConvergence(t *testing.T) {
 			workload.RandomConnected(16, 0.25, 5),
 		} {
 			opts, topo := opts, topo
-			t.Run(fmt.Sprintf("%v/%s", opts.Engine, topo.Name), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%s", configName(opts.Shards), topo.Name), func(t *testing.T) {
 				t.Parallel()
-				net, err := NewDynamicNetworkWith(topo, opts)
+				net, err := dynNet(topo, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -87,10 +86,10 @@ func TestDynamicInitialConvergence(t *testing.T) {
 func TestDynamicChurnHeals(t *testing.T) {
 	for _, opts := range dynEngines(t) {
 		opts := opts
-		t.Run(opts.Engine.String(), func(t *testing.T) {
+		t.Run(configName(opts.Shards), func(t *testing.T) {
 			t.Parallel()
 			topo := workload.RandomConnected(12, 0.3, 3)
-			net, err := NewDynamicNetworkWith(topo, opts)
+			net, err := dynNet(topo, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,10 +148,10 @@ func TestDynamicChurnHeals(t *testing.T) {
 func TestDynamicAddsNewLink(t *testing.T) {
 	for _, opts := range dynEngines(t) {
 		opts := opts
-		t.Run(opts.Engine.String(), func(t *testing.T) {
+		t.Run(configName(opts.Shards), func(t *testing.T) {
 			t.Parallel()
 			topo := workload.GoodChain(6)
-			net, err := NewDynamicNetworkWith(topo, opts)
+			net, err := dynNet(topo, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,10 +186,10 @@ func TestDynamicAddsNewLink(t *testing.T) {
 func TestDynamicConcurrentControlPlane(t *testing.T) {
 	for _, opts := range dynEngines(t) {
 		opts := opts
-		t.Run(opts.Engine.String(), func(t *testing.T) {
+		t.Run(configName(opts.Shards), func(t *testing.T) {
 			t.Parallel()
 			topo := workload.Wheel(8)
-			net, err := NewDynamicNetworkWith(topo, opts)
+			net, err := dynNet(topo, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -287,8 +286,8 @@ func TestDynamicOptionsValidation(t *testing.T) {
 func TestDynamicStop(t *testing.T) {
 	for _, opts := range dynEngines(t) {
 		opts := opts
-		t.Run(opts.Engine.String(), func(t *testing.T) {
-			net, err := NewDynamicNetworkWith(workload.GoodChain(4), opts)
+		t.Run(configName(opts.Shards), func(t *testing.T) {
+			net, err := dynNet(workload.GoodChain(4), opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,14 +12,14 @@ import (
 
 // TestNodeChurnGrowAndShrink adds a node at runtime, wires it in, removes
 // an interior node, and requires clean quiescence with full routes at each
-// stage — under both backends.
+// stage — under every engine configuration.
 func TestNodeChurnGrowAndShrink(t *testing.T) {
 	for _, opts := range dynEngines(t) {
 		opts := opts
-		t.Run(opts.Engine.String(), func(t *testing.T) {
+		t.Run(configName(opts.Shards), func(t *testing.T) {
 			t.Parallel()
 			topo := workload.Grid(3, 3)
-			net, err := NewDynamicNetworkWith(topo, opts)
+			net, err := dynNet(topo, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,10 +73,10 @@ func TestNodeChurnGrowAndShrink(t *testing.T) {
 func TestRemoveNodeCanPartition(t *testing.T) {
 	for _, opts := range dynEngines(t) {
 		opts := opts
-		t.Run(opts.Engine.String(), func(t *testing.T) {
+		t.Run(configName(opts.Shards), func(t *testing.T) {
 			t.Parallel()
 			topo := workload.GoodChain(5)
-			net, err := NewDynamicNetworkWith(topo, opts)
+			net, err := dynNet(topo, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,10 +107,10 @@ func TestRemoveNodeCanPartition(t *testing.T) {
 func TestCrashRecoveryResumesFromSnapshot(t *testing.T) {
 	for _, opts := range dynEngines(t) {
 		opts := opts
-		t.Run(opts.Engine.String(), func(t *testing.T) {
+		t.Run(configName(opts.Shards), func(t *testing.T) {
 			t.Parallel()
 			topo := workload.Grid(3, 3)
-			net, err := NewDynamicNetworkWith(topo, opts)
+			net, err := dynNet(topo, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +150,7 @@ func TestCrashRecoveryResumesFromSnapshot(t *testing.T) {
 }
 
 // orientationString renders the snapshot's derived edge directions in a
-// canonical form for cross-engine comparison.
+// canonical form for comparison across shard layouts.
 func orientationString(s *Snapshot, n int) string {
 	out := ""
 	for u := 0; u < n; u++ {
@@ -174,7 +174,7 @@ func orientationString(s *Snapshot, n int) string {
 // component and heals it.
 func dynChurnScript(opts DynOptions, seed int64) (string, error) {
 	topo := workload.RandomConnected(14, 0.3, seed)
-	net, err := NewDynamicNetworkWith(topo, opts)
+	net, err := dynNet(topo, opts)
 	if err != nil {
 		return "", err
 	}
@@ -264,32 +264,34 @@ func dynChurnScript(opts DynOptions, seed int64) (string, error) {
 }
 
 // TestDynEnginesAgreeOnFinal runs the full churn script — link and node
-// churn, partitions, crash windows — under the goroutine-per-node
-// reference and the sharded backend and requires identical observable
-// behaviour: the same partition reports with the same cut components, and
-// the same final orientation. This is the acceptance cross-check for the
-// sharded port.
+// churn, partitions, crash windows — on a single shard, which runs the
+// protocol on one executor, and across shard layouts, and requires
+// identical observable behaviour: the same partition reports with the same
+// cut components, and the same final orientation. Every layout runs the
+// same dynnode.go protocol code, so this checks that results do not depend
+// on how nodes are spread over shards and scheduled.
 func TestDynEnginesAgreeOnFinal(t *testing.T) {
 	adv := testAdversary(t)
 	for seed := int64(1); seed <= 4; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			ref, err := dynChurnScript(DynOptions{Engine: GoroutinePerNode, Adversary: adv}, seed)
+			ref, err := dynChurnScript(DynOptions{Shards: 1, Adversary: adv}, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, opts := range []DynOptions{
-				{Engine: GoroutinePerNode, Adversary: adv},
-				{Engine: Sharded, Shards: 3, Adversary: adv},
-				{Engine: Sharded, Shards: 5, Partition: PartitionHash, Adversary: adv},
+				{Shards: 3, Adversary: adv},
+				{Shards: 5, Partition: PartitionHash, Adversary: adv},
+				{Shards: perNodeShards, Adversary: adv},
 			} {
 				got, err := dynChurnScript(opts, seed)
 				if err != nil {
-					t.Fatalf("%v: %v", opts.Engine, err)
+					t.Fatalf("%s shards=%d: %v", configName(opts.Shards), opts.Shards, err)
 				}
 				if got != ref {
-					t.Errorf("%v shards=%d diverged\nref: %s\ngot: %s", opts.Engine, opts.Shards, ref, got)
+					t.Errorf("%s shards=%d diverged from one shard\nref: %s\ngot: %s",
+						configName(opts.Shards), opts.Shards, ref, got)
 				}
 			}
 		})

@@ -20,8 +20,8 @@ func requireCut(t *testing.T, err error, want []graph.NodeID) {
 	if !slices.Equal(pe.Cut, want) {
 		t.Fatalf("cut = %v, want %v", pe.Cut, want)
 	}
-	if !errors.Is(err, ErrPartitioned) || !errors.Is(err, ErrHeightCeiling) {
-		t.Fatalf("partition error does not match the sentinels: %v", err)
+	if !errors.Is(err, ErrPartitioned) {
+		t.Fatalf("partition error does not match ErrPartitioned: %v", err)
 	}
 }
 
@@ -54,11 +54,11 @@ func maxHeightMagnitudes(s *Snapshot) (maxA, maxB int) {
 func TestPartitionExactAndNoRatchet(t *testing.T) {
 	for _, opts := range dynEngines(t) {
 		opts := opts
-		t.Run(opts.Engine.String(), func(t *testing.T) {
+		t.Run(configName(opts.Shards), func(t *testing.T) {
 			t.Parallel()
 			const n = 8
 			topo := workload.GoodChain(n)
-			net, err := NewDynamicNetworkWith(topo, opts)
+			net, err := dynNet(topo, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,10 +105,10 @@ func TestPartitionExactAndNoRatchet(t *testing.T) {
 func TestPartitionIsolatedNode(t *testing.T) {
 	for _, opts := range dynEngines(t) {
 		opts := opts
-		t.Run(opts.Engine.String(), func(t *testing.T) {
+		t.Run(configName(opts.Shards), func(t *testing.T) {
 			t.Parallel()
 			topo := workload.Star(5)
-			net, err := NewDynamicNetworkWith(topo, opts)
+			net, err := dynNet(topo, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,12 +143,12 @@ func TestPartitionIsolatedNode(t *testing.T) {
 func TestPartitionSplitsAreExact(t *testing.T) {
 	for _, opts := range dynEngines(t) {
 		opts := opts
-		t.Run(opts.Engine.String(), func(t *testing.T) {
+		t.Run(configName(opts.Shards), func(t *testing.T) {
 			t.Parallel()
 			// 2×3 grid, dest 0: cutting {1,4} and {3,4} and {0,3} … cut the
 			// column seam instead: edges (1,2) and (4,5) isolate {2,5}.
 			topo := workload.Grid(2, 3)
-			net, err := NewDynamicNetworkWith(topo, opts)
+			net, err := dynNet(topo, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,10 +181,10 @@ func TestPartitionSplitsAreExact(t *testing.T) {
 func TestPartitionCrashStall(t *testing.T) {
 	for _, opts := range dynEngines(t) {
 		opts := opts
-		t.Run(opts.Engine.String(), func(t *testing.T) {
+		t.Run(configName(opts.Shards), func(t *testing.T) {
 			t.Parallel()
 			topo := workload.GoodChain(6)
-			net, err := NewDynamicNetworkWith(topo, opts)
+			net, err := dynNet(topo, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -14,30 +14,37 @@ import (
 	"linkreversal/internal/workload"
 )
 
+// perNodeShards is the Shards value of the one-node-per-shard
+// configuration. RunWith clamps Options.Shards to the node count, so every
+// node runs alone on a shard goroutine of its own and the Go scheduler is
+// the asynchrony adversary at single-node granularity. DynOptions.Shards is
+// not clamped; dynNet resolves the value to the topology's node count. The
+// outbox table grows as shards², so the configuration suits small
+// topologies only.
+const perNodeShards = 1 << 30
+
+// configName labels an engine configuration in subtest names and messages:
+// "goroutine-per-node" for one node per shard, "sharded" otherwise.
+func configName(shards int) string {
+	if shards == perNodeShards {
+		return "goroutine-per-node"
+	}
+	return "sharded"
+}
+
 // testEngines returns the engine configurations exercised by this test
-// process: both engines by default, or only the one named by the
-// LR_DIST_ENGINE environment variable (the CI test matrix). The sharded
-// configuration pins three shards so cross-shard batching is exercised even
-// on a single-CPU machine, where the GOMAXPROCS default would collapse to
-// one shard, and carries the partition scheme selected by LR_DIST_PARTITION
-// (see testPartition). Every returned configuration additionally carries
-// the network adversary selected by LR_DIST_FAULTS (see testAdversary), so
-// the CI fault matrix reruns the whole suite under loss, duplication and
-// delay.
+// process: one node per shard, and three shards — so cross-shard batching
+// is exercised even on a single-CPU machine, where the GOMAXPROCS default
+// would collapse to one shard — carrying the partition scheme selected by
+// LR_DIST_PARTITION (see testPartition). Every returned configuration
+// additionally carries the network adversary selected by LR_DIST_FAULTS
+// (see testAdversary), so the CI fault matrix reruns the whole suite under
+// loss, duplication and delay.
 func testEngines(t testing.TB) []Options {
 	adv := testAdversary(t)
-	gpn := Options{Engine: GoroutinePerNode, Adversary: adv}
-	sharded := Options{Engine: Sharded, Shards: 3, Partition: testPartition(t), Adversary: adv}
-	switch v := os.Getenv("LR_DIST_ENGINE"); v {
-	case "", "both":
-		return []Options{gpn, sharded}
-	case "goroutine":
-		return []Options{gpn}
-	case "sharded":
-		return []Options{sharded}
-	default:
-		t.Fatalf("unknown LR_DIST_ENGINE %q (want goroutine, sharded or both)", v)
-		return nil
+	return []Options{
+		{Shards: perNodeShards, Adversary: adv},
+		{Shards: 3, Partition: testPartition(t), Adversary: adv},
 	}
 }
 
@@ -104,14 +111,14 @@ func TestOptionsValidation(t *testing.T) {
 	good := []Options{
 		{},
 		{Engine: Sharded},
-		{Engine: Sharded, Shards: 64, Partition: PartitionHash}, // shards > nodes: clamped
-		{Engine: Sharded, Shards: 2, Partition: PartitionLocality},
-		{Engine: Sharded, Coalesce: CoalesceOff},
-		{Coalesce: CoalesceOn}, // accepted (and ignored) by the goroutine engine
+		{Shards: 64, Partition: PartitionHash}, // shards > nodes: clamped
+		{Shards: 2, Partition: PartitionLocality},
+		{Coalesce: CoalesceOff},
+		{Coalesce: CoalesceOn},
 		{MailboxCap: 1, StepLimitSlack: 1000},
-		{Engine: Sharded, Shards: 2, MailboxCap: 1},
+		{Shards: 2, MailboxCap: 1},
 		{RecordTrace: TraceOff},
-		{Engine: Sharded, RecordTrace: TraceOff},
+		{Shards: perNodeShards, RecordTrace: TraceOff},
 	}
 	for _, opts := range good {
 		res, err := RunWith(context.Background(), in, FullReversal, opts)
@@ -250,18 +257,21 @@ func TestLocalityPartitioner(t *testing.T) {
 	}
 }
 
-// TestEnginesAgreeOnFinal runs both engines — the sharded one across shard
-// counts and all partition schemes — on the same inputs and requires
-// identical final orientations. Link reversal is confluent: enabled sinks
-// are never adjacent, so their steps commute, and the final orientation is
-// a function of the input alone. Any divergence is an engine bug.
+// TestEnginesAgreeOnFinal runs the engine across shard counts — one shard,
+// one node per shard, and the shard counts and partition schemes between —
+// and requires each run to land on the final orientation and total work of
+// the sequential twin run to quiescence. Link reversal is confluent:
+// enabled sinks are never adjacent, so their steps commute, and the final
+// orientation and every node's work are functions of the input alone. Any
+// divergence is an engine bug.
 func TestEnginesAgreeOnFinal(t *testing.T) {
-	shardedVariants := []Options{
-		{Engine: Sharded, Shards: 1},
-		{Engine: Sharded, Shards: 2},
-		{Engine: Sharded, Shards: 5, Partition: PartitionHash},
-		{Engine: Sharded, Shards: 3, Partition: PartitionLocality},
-		{Engine: Sharded}, // GOMAXPROCS shards
+	variants := []Options{
+		{Shards: 1},
+		{Shards: 2},
+		{Shards: 5, Partition: PartitionHash},
+		{Shards: 3, Partition: PartitionLocality},
+		{Shards: perNodeShards},
+		{}, // GOMAXPROCS shards
 	}
 	for _, topo := range []*workload.Topology{
 		workload.AlternatingChain(9),
@@ -273,23 +283,13 @@ func TestEnginesAgreeOnFinal(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, alg := range allAlgorithms() {
-			ref, err := RunWith(context.Background(), in, alg, Options{Engine: GoroutinePerNode})
-			if err != nil {
-				t.Fatalf("%s/%v: reference engine: %v", topo.Name, alg, err)
-			}
-			for _, opts := range shardedVariants {
+			twin := quiescentTwin(t, alg, in)
+			for _, opts := range variants {
 				res, err := RunWith(context.Background(), in, alg, opts)
 				if err != nil {
 					t.Fatalf("%s/%v/%+v: %v", topo.Name, alg, opts, err)
 				}
-				if !res.Final.Equal(ref.Final) {
-					t.Errorf("%s/%v: sharded engine %+v diverged from goroutine-per-node final orientation",
-						topo.Name, alg, opts)
-				}
-				if res.Stats.TotalReversals != ref.Stats.TotalReversals {
-					t.Errorf("%s/%v: sharded %+v did %d reversals, reference %d",
-						topo.Name, alg, opts, res.Stats.TotalReversals, ref.Stats.TotalReversals)
-				}
+				requireTwinAgrees(t, twin, res, fmt.Sprintf("%s/%v/%+v", topo.Name, alg, opts))
 			}
 		}
 	}
@@ -307,7 +307,7 @@ func TestRunWithCancelMidRun(t *testing.T) {
 	}
 	for _, opts := range testEngines(t) {
 		opts := opts
-		t.Run(opts.Engine.String(), func(t *testing.T) {
+		t.Run(configName(opts.Shards), func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
 			defer cancel()
 			start := time.Now()
@@ -325,47 +325,57 @@ func TestRunWithCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestShardedGoroutineCount pins the sharded engine's O(shards) goroutine
-// bound: sampling the runtime's goroutine count during a long run must stay
-// within 2·shards workers (loop + mailbox pump each) plus a small slack,
-// regardless of the 1501-node topology.
+// TestShardedGoroutineCount pins the engine's O(shards) goroutine bound:
+// sampling the runtime's goroutine count during a long run must stay within
+// 2·shards workers (loop + mailbox pump each) plus a small slack,
+// regardless of the 1501-node topology — for an explicit shard count and
+// for the zero-value Options that Run uses, whose default is GOMAXPROCS
+// shards.
 func TestShardedGoroutineCount(t *testing.T) {
 	in, err := workload.BadChain(1500).Init()
 	if err != nil {
 		t.Fatal(err)
 	}
-	const shards = 4
-	baseline := runtime.NumGoroutine()
-	done := make(chan error, 1)
-	go func() {
-		_, err := RunWith(context.Background(), in, FullReversal, Options{Engine: Sharded, Shards: shards})
-		done <- err
-	}()
-	peak := 0
-	for {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
+	for _, tc := range []struct {
+		opts   Options
+		shards int
+	}{
+		{Options{Shards: 4}, 4},
+		{Options{}, runtime.GOMAXPROCS(0)},
+	} {
+		baseline := runtime.NumGoroutine()
+		done := make(chan error, 1)
+		go func() {
+			_, err := RunWith(context.Background(), in, FullReversal, tc.opts)
+			done <- err
+		}()
+		peak := 0
+	sample:
+		for {
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+				break sample
+			default:
+				if g := runtime.NumGoroutine(); g > peak {
+					peak = g
+				}
+				time.Sleep(time.Millisecond)
 			}
-			if limit := baseline + 2*shards + 4; peak > limit {
-				t.Errorf("goroutine peak %d > %d (baseline %d + 2·%d shards + slack)",
-					peak, limit, baseline, shards)
-			}
-			return
-		default:
-			if g := runtime.NumGoroutine(); g > peak {
-				peak = g
-			}
-			time.Sleep(time.Millisecond)
+		}
+		if limit := baseline + 2*tc.shards + 4; peak > limit {
+			t.Errorf("%+v: goroutine peak %d > %d (baseline %d + 2·%d shards + slack)",
+				tc.opts, peak, limit, baseline, tc.shards)
 		}
 	}
 }
 
 // TestEngineStrings pins the enum renderings used in benchmarks and tables.
 func TestEngineStrings(t *testing.T) {
-	if GoroutinePerNode.String() != "goroutine-per-node" || Sharded.String() != "sharded" {
-		t.Error("engine strings wrong")
+	if Sharded.String() != "sharded" {
+		t.Error("engine string wrong")
 	}
 	if Engine(42).String() != "Engine(42)" {
 		t.Errorf("unknown engine string = %q", Engine(42).String())
@@ -390,9 +400,11 @@ func TestEngineStrings(t *testing.T) {
 	}
 }
 
-// FuzzEnginesAgree feeds random topologies through both engines and
-// requires identical final orientations — the confluence cross-check over
-// the whole generator space, including degenerate shard counts.
+// FuzzEnginesAgree feeds random topologies through the engine under a
+// fuzzed shard layout, one shard, and one node per shard, and requires each
+// run to land on the sequential twin's final orientation and total work —
+// the confluence cross-check over the whole generator space, including
+// degenerate shard counts.
 func FuzzEnginesAgree(f *testing.F) {
 	f.Add(uint8(8), uint8(30), int64(1), uint8(1), uint8(2))
 	f.Add(uint8(2), uint8(0), int64(-5), uint8(2), uint8(0))
@@ -401,25 +413,22 @@ func FuzzEnginesAgree(f *testing.F) {
 		n := 2 + int(rawN)%30
 		p := float64(rawP%100) / 100.0
 		alg := allAlgorithms()[int(rawAlg)%3]
-		opts := Options{Engine: Sharded, Shards: 1 + int(rawShards)%6}
+		fuzzed := Options{Shards: 1 + int(rawShards)%6}
 		if rawShards >= 128 {
-			opts.Partition = PartitionHash
+			fuzzed.Partition = PartitionHash
 		}
 		topo := workload.RandomConnected(n, p, seed)
 		in, err := topo.Init()
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := RunWith(context.Background(), in, alg, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := RunWith(context.Background(), in, alg, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Final.Equal(ref.Final) {
-			t.Fatalf("engines diverged on %s/%v with %+v", topo.Name, alg, opts)
+		twin := quiescentTwin(t, alg, in)
+		for _, opts := range []Options{fuzzed, {Shards: 1}, {Shards: perNodeShards}} {
+			res, err := RunWith(context.Background(), in, alg, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireTwinAgrees(t, twin, res, fmt.Sprintf("%s/%v/%+v", topo.Name, alg, opts))
 		}
 	})
 }

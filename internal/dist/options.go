@@ -10,44 +10,32 @@ import (
 	"linkreversal/internal/obs"
 )
 
-// Engine selects the execution engine used by RunWith. The engines differ
-// only in how node state is scheduled onto goroutines and how reversal
-// messages travel; both realize legal asynchronous executions of the same
-// protocols, record the same kind of linearized step trace, and quiesce on
-// identical final orientations.
+// Engine names the execution engine behind RunWith and DynamicNetwork.
+// Sharded is its only value; the type survives so callers that name the
+// engine explicitly keep compiling.
 type Engine int
 
-const (
-	// GoroutinePerNode is the reference engine: every node runs as its own
-	// goroutine with a dedicated mailbox pump, so the Go scheduler itself is
-	// the asynchrony adversary at single-node granularity. Memory and
-	// scheduling cost grow with the node count (two goroutines and a
-	// buffered channel per node), which caps practical topology sizes well
-	// below the sharded engine's.
-	GoroutinePerNode Engine = iota + 1
-	// Sharded partitions the nodes across a small fixed set of shard
-	// goroutines (default GOMAXPROCS). Each shard owns its nodes' state,
-	// delivers intra-shard messages through a local run-queue without
-	// touching a channel, and accumulates cross-shard messages in
-	// per-destination outboxes that are flushed as batches. The engine uses
-	// O(shards) goroutines independent of the node count, which is what
-	// makes very large topologies affordable.
-	Sharded
-)
+// Sharded partitions the nodes across a small fixed set of shard goroutines
+// (default GOMAXPROCS). Each shard owns its nodes' state, delivers
+// intra-shard messages through a local run-queue without touching a
+// channel, and accumulates cross-shard messages in per-destination outboxes
+// that are flushed as batches. The engine uses O(shards) goroutines
+// independent of the node count, which is what makes very large topologies
+// affordable. With one node per shard (Options.Shards ≥ n) the Go scheduler
+// itself becomes the asynchrony adversary at single-node granularity; the
+// outbox table grows as shards², so that setting suits small topologies
+// only.
+const Sharded Engine = 1
 
 // String implements fmt.Stringer.
 func (e Engine) String() string {
-	switch e {
-	case GoroutinePerNode:
-		return "goroutine-per-node"
-	case Sharded:
+	if e == Sharded {
 		return "sharded"
-	default:
-		return fmt.Sprintf("Engine(%d)", int(e))
 	}
+	return fmt.Sprintf("Engine(%d)", int(e))
 }
 
-// Partition selects how the Sharded engine assigns nodes to shards. All
+// Partition selects how the engine assigns nodes to shards. All
 // schemes are deterministic and assign every node to exactly one shard.
 type Partition int
 
@@ -86,7 +74,7 @@ func (p Partition) String() string {
 	}
 }
 
-// Coalescing selects whether the Sharded engine folds byte-identical
+// Coalescing selects whether the engine folds byte-identical
 // same-link transmissions pending in one outbox flush window into a single
 // shipped message.
 type Coalescing int
@@ -159,7 +147,7 @@ const (
 	// accounting; Result.NodeSteps and Result.NodeReversals are nil.
 	ProfileOff Profile = iota + 1
 	// ProfileOn accumulates per-node step and reversal counts during the
-	// run (each node's slot is written only by its owning executor, so the
+	// run (each node's slot is written only by its owning shard, so the
 	// counters cost two plain writes per step, no atomics). It is the
 	// fitness hook of the adversarial search harness (internal/hunt): work
 	// skew and per-node bound oracles read these directly instead of
@@ -194,27 +182,27 @@ const (
 	defaultStepLimitSlack = 200
 )
 
-// Options tunes RunWith. The zero value selects the goroutine-per-node
-// engine with default mailbox capacity and step-limit slack, matching the
-// behaviour of Run.
+// Options tunes RunWith. The zero value selects GOMAXPROCS shards with
+// block partitioning, default mailbox capacity and step-limit slack,
+// matching the behaviour of Run.
 type Options struct {
-	// Engine selects the execution engine; 0 means GoroutinePerNode.
+	// Engine names the execution engine; 0 and Sharded both select it, and
+	// any other value is rejected with ErrBadOption.
 	Engine Engine
-	// Shards is the number of shard goroutines used by the Sharded engine,
-	// clamped to the node count; 0 means GOMAXPROCS. Ignored by
-	// GoroutinePerNode.
+	// Shards is the number of shard goroutines, clamped to the node count;
+	// 0 means GOMAXPROCS.
 	Shards int
-	// Partition selects the Sharded engine's node-to-shard assignment;
-	// 0 means PartitionBlock. Ignored by GoroutinePerNode.
+	// Partition selects the node-to-shard assignment; 0 means
+	// PartitionBlock.
 	Partition Partition
-	// Coalesce selects whether the Sharded engine's outboxes fold
-	// byte-identical transmissions of one flush window into a single
-	// shipped message; 0 means CoalesceOn. Only observable through
-	// Stats.Coalesced and transport volume — orientations, traces and the
-	// fault ledger are identical either way. Ignored by GoroutinePerNode.
+	// Coalesce selects whether the shard outboxes fold byte-identical
+	// transmissions of one flush window into a single shipped message;
+	// 0 means CoalesceOn. Only observable through Stats.Coalesced and
+	// transport volume — orientations, traces and the fault ledger are
+	// identical either way.
 	Coalesce Coalescing
-	// MailboxCap is the buffer size of each mailbox ingress channel
-	// (per node for GoroutinePerNode, per shard for Sharded); 0 means 64.
+	// MailboxCap is the buffer size of each shard's mailbox ingress
+	// channel; 0 means 64.
 	MailboxCap int
 	// RecordTrace selects whether the run records the global step
 	// linearization; 0 means TraceRecorded. Set TraceOff for
@@ -249,28 +237,25 @@ type Options struct {
 	Observer *obs.Observer
 }
 
-// DynOptions tunes a DynamicNetwork. The zero value selects the
-// goroutine-per-node backend with default mailbox capacity and a reliable
-// network, matching the behaviour of NewDynamicNetwork.
+// DynOptions tunes a DynamicNetwork. The zero value selects GOMAXPROCS
+// shards with default mailbox capacity and a reliable network, matching
+// the behaviour of NewDynamicNetwork.
 type DynOptions struct {
-	// Engine selects the execution backend; 0 means GoroutinePerNode. Both
-	// backends run identical protocol logic and quiesce on identical final
-	// orientations, so GoroutinePerNode doubles as the cross-check
-	// reference for Sharded.
+	// Engine names the execution engine; 0 and Sharded both select it, and
+	// any other value is rejected with ErrBadOption.
 	Engine Engine
-	// Shards is the number of shard goroutines used by the Sharded backend;
-	// 0 means GOMAXPROCS. Unlike the static engine it is not clamped to the
-	// node count: the network can grow via AddNode. Ignored by
-	// GoroutinePerNode.
+	// Shards is the number of shard goroutines; 0 means GOMAXPROCS. Unlike
+	// the static engine it is not clamped to the node count: the network
+	// can grow via AddNode.
 	Shards int
-	// Partition selects the Sharded backend's node-to-shard assignment;
-	// 0 means PartitionBlock. PartitionLocality grows its regions over the
+	// Partition selects the node-to-shard assignment; 0 means
+	// PartitionBlock. PartitionLocality grows its regions over the
 	// construction-time topology only — later link churn does not
 	// re-partition. Nodes added at runtime overflow any scheme's
 	// construction-time assignment and clamp onto the last shard.
 	Partition Partition
-	// MailboxCap is the buffer size of each mailbox ingress channel
-	// (per node for GoroutinePerNode, per shard for Sharded); 0 means 64.
+	// MailboxCap is the buffer size of each shard's mailbox ingress
+	// channel; 0 means 64.
 	MailboxCap int
 	// Adversary injects seeded faults into the height-announcement plane
 	// (the only message kind whose loss, duplication or delay a real
@@ -299,11 +284,7 @@ type DynOptions struct {
 
 // withDefaults validates o and fills in the defaults for zero fields.
 func (o DynOptions) withDefaults() (DynOptions, error) {
-	switch o.Engine {
-	case 0:
-		o.Engine = GoroutinePerNode
-	case GoroutinePerNode, Sharded:
-	default:
+	if o.Engine != 0 && o.Engine != Sharded {
 		return o, fmt.Errorf("%w: engine %d", ErrBadOption, int(o.Engine))
 	}
 	switch o.Partition {
@@ -338,11 +319,7 @@ func (o DynOptions) withDefaults() (DynOptions, error) {
 
 // withDefaults validates o and fills in the defaults for zero fields.
 func (o Options) withDefaults() (Options, error) {
-	switch o.Engine {
-	case 0:
-		o.Engine = GoroutinePerNode
-	case GoroutinePerNode, Sharded:
-	default:
+	if o.Engine != 0 && o.Engine != Sharded {
 		return o, fmt.Errorf("%w: engine %d", ErrBadOption, int(o.Engine))
 	}
 	switch o.Partition {

@@ -9,13 +9,23 @@ import (
 	"linkreversal/internal/obs"
 )
 
-// shardMsg is one transmission in transit inside the sharded engine,
-// normally a reversal announcement: some neighbour of To reversed the
-// shared edge, which now points toward To. Slot is the receiver-side
-// neighbour slot of the sender (see reverseMsg), so delivery is two slice
-// writes with no lookup. Seq, Kind and Hold belong to the
-// reliable-delivery layer and stay zero on a reliable network, exactly as
-// in reverseMsg.
+// shardMsg is one transmission in transit, normally a reversal
+// announcement: some neighbour of To reversed the shared edge, which now
+// points toward To. Slot is the *receiver-side* neighbour slot of the
+// sender — the index i with nodes[To].nbrs[i] == sender — precomputed once
+// at engine construction, so applying the message is a pair of slice
+// writes with no lookup of any kind. For the height-based variants it
+// plays the role of the height announcement, and for list-based PR it
+// additionally means "add the neighbour at Slot to your list".
+//
+// Seq, Kind and Hold belong to the reliable-delivery layer and stay zero on
+// a reliable network: Seq is the per-directed-link sequence number of the
+// payload (or the payload being acked/nacked), Kind the transmission class,
+// and Hold the remaining number of delivery opportunities that may overtake
+// this message (the fault adversary's logical-time holdback; the shard
+// re-enqueues the message and decrements Hold until it reaches zero). For
+// msgNack, To is the original sender and Slot its *sender-side* slot of the
+// lossy link.
 //
 // Copies is the outbox coalescing count: the number of additional
 // byte-identical transmissions riding piggyback on this entry (see
@@ -142,16 +152,17 @@ func localityAssign(n, shards int, nbrs func(graph.NodeID) []graph.NodeID) []int
 	return assign
 }
 
-// shardEngine partitions the nodes across a fixed set of shard goroutines.
-// Each shard owns its nodes' protocol state outright, so intra-shard
-// messages are delivered through a plain slice run-queue with no channel or
-// lock on the path; only cross-shard traffic touches the transport, and it
-// travels in per-destination batches drawn from a shared pool. Quiescence
-// detection counts batches instead of messages: the in-flight tokens are
-// one start token per shard plus one token per batch in transit, and a
-// shard retires the token it holds only after its entire local cascade has
-// run dry and its outboxes are flushed. Goroutine count is 2·shards (one
-// loop plus one mailbox pump each), independent of the node count.
+// shardEngine is RunWith's execution engine: it partitions the nodes
+// across a fixed set of shard goroutines. Each shard owns its nodes'
+// protocol state outright, so intra-shard messages are delivered through a
+// plain slice run-queue with no channel or lock on the path; only
+// cross-shard traffic touches the transport, and it travels in
+// per-destination batches drawn from a shared pool. Quiescence detection
+// counts batches instead of messages: the in-flight tokens are one start
+// token per shard plus one token per batch in transit, and a shard retires
+// the token it holds only after its entire local cascade has run dry and
+// its outboxes are flushed. Goroutine count is 2·shards (one loop plus one
+// mailbox pump each), independent of the node count.
 type shardEngine struct {
 	c      *runCore
 	part   partitioner
@@ -160,8 +171,6 @@ type shardEngine struct {
 	// pool recycles flushed batch buffers: senders take, receivers return.
 	pool sync.Pool
 }
-
-var _ engine = (*shardEngine)(nil)
 
 func newShardEngine(c *runCore, in *core.Init, alg Algorithm, opts Options, shards int) *shardEngine {
 	g := in.Graph()
@@ -203,8 +212,6 @@ func newShardEngine(c *runCore, in *core.Init, alg Algorithm, opts Options, shar
 	}
 	return e
 }
-
-func (e *shardEngine) node(u graph.NodeID) *runNode { return &e.nodes[u] }
 
 func (e *shardEngine) start() {
 	for _, s := range e.shards {
@@ -264,18 +271,18 @@ type shard struct {
 	obs *obs.Shard
 }
 
-var _ nodeEnv = (*shard)(nil)
-
-// announce records one step by a node of this shard. When trace recording
-// is on, steps are appended to the shared trace under the core mutex before
-// any of their messages moves (the run-queue and outboxes are drained only
-// after announce returns), so the linearization argument of the goroutine
-// engine carries over unchanged. No per-message in-flight credit is taken:
-// intra-shard deliveries finish before the shard retires the token it
-// currently holds, and cross-shard batches take their own token at flush
+// announce records the beginning of a step by node u of this shard that
+// reverses the edges to targets neighbours. A message the step hands to
+// deliver or send is received only after announce returned — the property
+// that makes a recorded trace a legal sequential execution: when trace
+// recording is on, the step is appended to the shared trace under the core
+// mutex before any of its messages moves (the run-queue and outboxes are
+// drained only after announce returns). No per-message in-flight credit is
+// taken: intra-shard deliveries finish before the shard retires the token
+// it currently holds, and cross-shard batches take their own token at flush
 // time.
 func (s *shard) announce(u graph.NodeID, targets int) {
-	s.eng.c.record(u, targets, 0, 0)
+	s.eng.c.record(u, targets)
 	if s.obs != nil {
 		s.obs.Step(u, targets)
 	}
@@ -323,7 +330,12 @@ func (s *shard) route(m shardMsg) {
 	}
 }
 
-// send routes one transmission through the fault injector (judgeSend):
+// send is deliver's fault-aware sibling, used only when an adversary is
+// armed. It carries the full link coordinates (so a dropped transmission
+// can be converted into a loss notification back to the sender), the
+// per-link sequence number and retransmission attempt (the fault
+// injector's decision coordinates) and the message kind, and routes the
+// transmission through the fault injector (judgeSend):
 // dropped payloads become loss notifications back to the sender — which is
 // always a node this shard owns, so the nack lands in the local run-queue
 // — and surviving copies (plus duplicates) are routed with their holdback.
@@ -374,7 +386,7 @@ func (s *shard) process(m shardMsg) {
 			s.obs.Deliver(m.To, -1, int64(m.Seq))
 		}
 		if nd.rel != nil {
-			nd.handle(s, reverseMsg{Slot: m.Slot, Seq: m.Seq, Kind: m.Kind})
+			nd.handle(s, m)
 		} else {
 			nd.receive(s, m.Slot)
 		}
@@ -385,10 +397,9 @@ func (s *shard) process(m shardMsg) {
 }
 
 // loop is the shard goroutine: run the initial acts of the owned nodes,
-// then serve incoming batches until shutdown. The token discipline mirrors
-// the goroutine engine's: the start token is retired after the initial
-// cascade, each batch's token after that batch is fully processed — at
-// which point the batch buffer goes back to the pool.
+// then serve incoming batches until shutdown. The start token is retired
+// after the initial cascade, each batch's token after that batch is fully
+// processed — at which point the batch buffer goes back to the pool.
 func (s *shard) loop() {
 	defer s.eng.c.wg.Done()
 	// With an observer armed, the worker's wall clock is split into busy

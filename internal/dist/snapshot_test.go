@@ -54,29 +54,29 @@ func requireSnapEqual(t *testing.T, want, got *Snapshot, label string) {
 // published at construction, before any quiescence.
 func TestReadSnapshotNeverNil(t *testing.T) {
 	for _, opts := range dynEngines(t) {
-		net, err := NewDynamicNetworkWith(workload.GoodChain(5), opts)
+		net, err := dynNet(workload.GoodChain(5), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s := net.ReadSnapshot()
 		if s == nil {
-			t.Fatalf("%s: ReadSnapshot nil before first quiescence", opts.Engine)
+			t.Fatalf("%s: ReadSnapshot nil before first quiescence", configName(opts.Shards))
 		}
 		if s.Epoch == 0 {
-			t.Errorf("%s: published snapshot has epoch 0", opts.Engine)
+			t.Errorf("%s: published snapshot has epoch 0", configName(opts.Shards))
 		}
 		net.Stop()
 	}
 }
 
-// TestPublishedAgreesWithSnapshotAtQuiescence pins the cross-engine epoch
-// contract: after a quiescent AwaitQuiescence, the published snapshot and
-// a fresh Snapshot() describe the same state, and both engines agree on
-// that state.
+// TestPublishedAgreesWithSnapshotAtQuiescence pins the epoch contract
+// across shard layouts: after a quiescent AwaitQuiescence, the published
+// snapshot and a fresh Snapshot() describe the same state, and every
+// engine configuration agrees on that state.
 func TestPublishedAgreesWithSnapshotAtQuiescence(t *testing.T) {
 	var ref *Snapshot
 	for _, opts := range dynEngines(t) {
-		net, err := NewDynamicNetworkWith(workload.Grid(4, 5), opts)
+		net, err := dynNet(workload.Grid(4, 5), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,22 +88,22 @@ func TestPublishedAgreesWithSnapshotAtQuiescence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := net.AwaitQuiescence(); err != nil {
-			t.Fatalf("%s: %v", opts.Engine, err)
+			t.Fatalf("%s: %v", configName(opts.Shards), err)
 		}
 		pub := net.ReadSnapshot()
 		direct := net.Snapshot()
 		if !pub.Quiescent {
-			t.Errorf("%s: snapshot published at quiescence not marked quiescent", opts.Engine)
+			t.Errorf("%s: snapshot published at quiescence not marked quiescent", configName(opts.Shards))
 		}
 		if pub.Epoch == 0 {
-			t.Errorf("%s: quiescent publication kept epoch 0", opts.Engine)
+			t.Errorf("%s: quiescent publication kept epoch 0", configName(opts.Shards))
 		}
-		requireSnapEqual(t, direct, pub, fmt.Sprintf("%s pub-vs-direct", opts.Engine))
+		requireSnapEqual(t, direct, pub, fmt.Sprintf("%s pub-vs-direct", configName(opts.Shards)))
 		requireRoutes(t, pub, 20, net.dest)
 		if ref == nil {
 			ref = pub
 		} else {
-			requireSnapEqual(t, ref, pub, fmt.Sprintf("%s vs reference engine", opts.Engine))
+			requireSnapEqual(t, ref, pub, fmt.Sprintf("%s vs first configuration", configName(opts.Shards)))
 		}
 		net.Stop()
 	}
@@ -116,7 +116,7 @@ func TestPublishedAgreesWithSnapshotAtQuiescence(t *testing.T) {
 // carry strictly increasing epochs.
 func TestSnapshotEpochConsistencyAcrossHeal(t *testing.T) {
 	for _, opts := range dynEngines(t) {
-		net, err := NewDynamicNetworkWith(workload.GoodChain(8), opts)
+		net, err := dynNet(workload.GoodChain(8), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestSnapshotEpochConsistencyAcrossHeal(t *testing.T) {
 		want := snapClone(old)
 		wantPath, ok := old.RouteFrom(7, 0, 8)
 		if !ok {
-			t.Fatalf("%s: no route on the quiesced chain", opts.Engine)
+			t.Fatalf("%s: no route on the quiesced chain", configName(opts.Shards))
 		}
 		wantPathCopy := append([]graph.NodeID(nil), wantPath...)
 
@@ -136,14 +136,14 @@ func TestSnapshotEpochConsistencyAcrossHeal(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err, ok := net.AwaitQuiescence().(*PartitionError); !ok {
-			t.Fatalf("%s: expected PartitionError, got %v", opts.Engine, err)
+			t.Fatalf("%s: expected PartitionError, got %v", configName(opts.Shards), err)
 		}
 		cutSnap := net.ReadSnapshot()
 		if cutSnap.Epoch <= old.Epoch {
-			t.Errorf("%s: partition publication epoch %d not above %d", opts.Engine, cutSnap.Epoch, old.Epoch)
+			t.Errorf("%s: partition publication epoch %d not above %d", configName(opts.Shards), cutSnap.Epoch, old.Epoch)
 		}
 		if len(cutSnap.Cut) != 4 {
-			t.Errorf("%s: published cut %v, want the 4 stranded nodes", opts.Engine, cutSnap.Cut)
+			t.Errorf("%s: published cut %v, want the 4 stranded nodes", configName(opts.Shards), cutSnap.Cut)
 		}
 
 		// Heal and requiesce.
@@ -151,22 +151,22 @@ func TestSnapshotEpochConsistencyAcrossHeal(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := net.AwaitQuiescence(); err != nil {
-			t.Fatalf("%s: heal: %v", opts.Engine, err)
+			t.Fatalf("%s: heal: %v", configName(opts.Shards), err)
 		}
 		healed := net.ReadSnapshot()
 		if healed.Epoch <= cutSnap.Epoch {
-			t.Errorf("%s: heal publication epoch %d not above %d", opts.Engine, healed.Epoch, cutSnap.Epoch)
+			t.Errorf("%s: heal publication epoch %d not above %d", configName(opts.Shards), healed.Epoch, cutSnap.Epoch)
 		}
 		if len(healed.Cut) != 0 {
-			t.Errorf("%s: healed snapshot still names a cut: %v", opts.Engine, healed.Cut)
+			t.Errorf("%s: healed snapshot still names a cut: %v", configName(opts.Shards), healed.Cut)
 		}
 
 		// The reader's old epoch never moved: same heights, same links, and
 		// the route it computed before the cut still derives verbatim.
-		requireSnapEqual(t, want, old, fmt.Sprintf("%s held epoch", opts.Engine))
+		requireSnapEqual(t, want, old, fmt.Sprintf("%s held epoch", configName(opts.Shards)))
 		gotPath, ok := old.RouteFrom(7, 0, 8)
 		if !ok || fmt.Sprint(gotPath) != fmt.Sprint(wantPathCopy) {
-			t.Errorf("%s: held epoch's route changed: %v -> %v (ok=%v)", opts.Engine, wantPathCopy, gotPath, ok)
+			t.Errorf("%s: held epoch's route changed: %v -> %v (ok=%v)", configName(opts.Shards), wantPathCopy, gotPath, ok)
 		}
 		net.Stop()
 	}
@@ -271,7 +271,7 @@ func TestReadersVsChurnStress(t *testing.T) {
 	for _, opts := range dynEngines(t) {
 		opts.PublishEvery = 200 * time.Microsecond
 		topo := workload.Grid(6, 6)
-		net, err := NewDynamicNetworkWith(topo, opts)
+		net, err := dynNet(topo, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,7 +346,7 @@ func TestReadersVsChurnStress(t *testing.T) {
 		wg.Wait()
 		close(errc)
 		for err := range errc {
-			t.Errorf("%s: reader: %v", opts.Engine, err)
+			t.Errorf("%s: reader: %v", configName(opts.Shards), err)
 		}
 		net.Stop()
 	}

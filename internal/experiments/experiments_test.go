@@ -166,30 +166,23 @@ func TestE8Distributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engines := map[string]bool{}
 	for _, row := range tb.Rows {
-		engines[cellString(row[2])] = true
 		if cellString(row[12]) != "yes" {
-			t.Errorf("distributed run not destination-oriented: %s/%s/%s",
-				cellString(row[0]), cellString(row[1]), cellString(row[2]))
+			t.Errorf("distributed run not destination-oriented: %s/%s",
+				cellString(row[0]), cellString(row[1]))
 		}
-		// The partition column names the sharded scheme; the goroutine
-		// engine has no shards.
-		want := "-"
-		if cellString(row[2]) == "sharded" {
-			want = "block"
+		if got := cellString(row[2]); got != "sharded" {
+			t.Errorf("engine column %q, want sharded", got)
 		}
-		if got := cellString(row[3]); got != want {
-			t.Errorf("%s row has partition %q, want %q", cellString(row[2]), got, want)
+		// The partition column names the default block scheme.
+		if got := cellString(row[3]); got != "block" {
+			t.Errorf("row has partition %q, want block", got)
 		}
 		for _, col := range []int{9, 10, 11} { // drops, dups, retrans on a reliable network
 			if cellString(row[col]) != "0" {
 				t.Errorf("reliable E8 row has non-zero fault column %d: %s", col, cellString(row[col]))
 			}
 		}
-	}
-	if !engines["goroutine-per-node"] || !engines["sharded"] {
-		t.Errorf("E8 should cover both engines by default, got %v", engines)
 	}
 }
 
@@ -306,8 +299,8 @@ func TestE11DistributedChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One row per size × engine (both engines by default).
-	if want := len(small().Sizes) * 2; len(tb.Rows) != want {
+	// One row per size.
+	if want := len(small().Sizes); len(tb.Rows) != want {
 		t.Errorf("rows = %d, want %d", len(tb.Rows), want)
 	}
 	for _, row := range tb.Rows {

@@ -34,10 +34,10 @@ func FuzzHuntMutator(f *testing.F) {
 			if len(c1.Genome.Genes) > maxGenes {
 				t.Fatalf("mutation %d grew %d genes (cap %d)", i, len(c1.Genome.Genes), maxGenes)
 			}
-			switch c1.Engine {
-			case 0, dist.GoroutinePerNode, dist.Sharded:
+			switch c1.Shards {
+			case 0, 2, 3, 5, perNodeShards:
 			default:
-				t.Fatalf("mutation %d produced engine %d", i, int(c1.Engine))
+				t.Fatalf("mutation %d produced shard count %d", i, c1.Shards)
 			}
 			switch c1.Partition {
 			case 0, dist.PartitionBlock, dist.PartitionHash, dist.PartitionLocality:

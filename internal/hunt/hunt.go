@@ -31,17 +31,25 @@ func observed(c Candidate) (dist.Options, *obs.Observer) {
 	return opts, o
 }
 
+// perNodeShards is the Candidate.Shards value of the finest schedule:
+// dist.RunWith clamps the shard count to the node count, so on topologies
+// of up to perNodeShards nodes every node runs on a goroutine of its own
+// and the Go scheduler is the asynchrony adversary at single-node
+// granularity. The engine's outbox table grows as shards², so larger
+// topologies get perNodeShards shards (8 MiB of outbox pointers) instead
+// of one per node.
+const perNodeShards = 1024
+
 // Candidate is one point of the search space: the fault genome plus the
-// schedule knobs that pick how the execution engines run it. Both engines
-// are part of the space — the hunter flips between goroutine-per-node and
-// sharded scheduling the same way it retunes drop probabilities.
+// schedule knobs that pick how the engine runs it. The shard layout is part
+// of the space — the hunter toggles between the default shard count and
+// one node per shard the same way it retunes drop probabilities.
 type Candidate struct {
 	Genome Genome `json:"genome"`
-	// Engine selects the dist engine; 0 means GoroutinePerNode.
-	Engine dist.Engine `json:"engine,omitempty"`
-	// Shards is the sharded engine's shard count; 0 means GOMAXPROCS.
+	// Shards is the engine's shard count; 0 means GOMAXPROCS, and a count
+	// at or above the node count runs one node per shard.
 	Shards int `json:"shards,omitempty"`
-	// Partition is the sharded engine's node assignment; 0 means block.
+	// Partition is the engine's node assignment; 0 means block.
 	Partition dist.Partition `json:"partition,omitempty"`
 	// MailboxCap is the mailbox ingress buffer size; 0 means the default.
 	// Tiny mailboxes serialize senders and surface schedules the default
@@ -54,7 +62,6 @@ type Candidate struct {
 // oracles replay the trace.
 func (c Candidate) options() dist.Options {
 	return dist.Options{
-		Engine:     c.Engine,
 		Shards:     c.Shards,
 		Partition:  c.Partition,
 		MailboxCap: c.MailboxCap,
@@ -75,11 +82,11 @@ func MutateCandidate(r *faults.Rand, c Candidate) Candidate {
 		return m
 	}
 	switch r.Intn(4) {
-	case 0: // Flip the engine.
-		if m.Engine == dist.Sharded {
-			m.Engine = dist.GoroutinePerNode
+	case 0: // Toggle between the default shard count and one node per shard.
+		if m.Shards == perNodeShards {
+			m.Shards = 0
 		} else {
-			m.Engine = dist.Sharded
+			m.Shards = perNodeShards
 		}
 	case 1: // Retune the shard count.
 		m.Shards = []int{0, 2, 3, 5}[r.Intn(4)]
@@ -251,8 +258,8 @@ func (h *Hunter) admit(ev *Evaluated) {
 	}
 }
 
-// Run executes the hunt: the preset baseline first (every faults preset on
-// both engines), then mutation of the corpus until the evaluation budget
+// Run executes the hunt: the preset baseline first (every faults preset
+// with one node per shard and with the default shard count), then mutation of the corpus until the evaluation budget
 // or the context deadline is spent. A closed context is not an error — the
 // report carries whatever was found inside the time box.
 func (h *Hunter) Run(ctx context.Context) (*Report, error) {
@@ -261,13 +268,12 @@ func (h *Hunter) Run(ctx context.Context) (*Report, error) {
 		Algorithm: h.cfg.Alg.String(),
 		Fitness:   h.cfg.Fitness.String(),
 	}
-	engines := []dist.Engine{dist.GoroutinePerNode, dist.Sharded}
 	for _, g := range PresetGenomes(h.cfg.Seed) {
-		for _, e := range engines {
+		for _, shards := range []int{perNodeShards, 0} {
 			if ctx.Err() != nil || h.evals >= h.cfg.Budget {
 				break
 			}
-			ev, err := h.evaluate(ctx, Candidate{Genome: g, Engine: e}, true)
+			ev, err := h.evaluate(ctx, Candidate{Genome: g, Shards: shards}, true)
 			if err != nil {
 				if stop(err) {
 					break

@@ -358,8 +358,8 @@ func (o *Observer) ChromeTrace(w io.Writer) error {
 
 // Shard is the per-engine-shard sink: atomic telemetry counters and a ring
 // of recent events. All methods are safe on a nil receiver (no-ops) and
-// safe for concurrent use — the goroutine-per-node engines point every
-// node at the same sink.
+// safe for concurrent use: its counters are atomics and its ring is
+// multi-writer, so any goroutine may record into it.
 type Shard struct {
 	o      *Observer
 	id     int

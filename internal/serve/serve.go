@@ -17,6 +17,8 @@
 //   - The write plane (POST /links, POST /churn) forwards topology
 //     changes to the network's control plane, which serializes them
 //     against the protocol exactly as direct AddLink/FailLink calls do.
+//     Request bodies are capped at 1 MiB; a larger one is answered with
+//     413 and none of its operations is applied.
 //
 // Because publications are quiescence-gated, every snapshot the read
 // plane serves is a consistent global state: acyclic, and
@@ -52,9 +54,9 @@ import (
 type Config struct {
 	// Topology names the served topology (e.g. "grid 100x100").
 	Topology string `json:"topology,omitempty"`
-	// Engine is the execution backend ("goroutine-per-node", "sharded").
+	// Engine names the execution engine ("sharded").
 	Engine string `json:"engine,omitempty"`
-	// Shards is the shard count of the sharded backend (0 when n/a).
+	// Shards is the engine's shard count (0 when not recorded).
 	Shards int `json:"shards,omitempty"`
 	// Partition is the node-to-shard assignment scheme.
 	Partition string `json:"partition,omitempty"`
@@ -141,6 +143,27 @@ func writeJSON(w http.ResponseWriter, code int, v any) int {
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) int {
 	return writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
+// maxBodyBytes bounds the request body of the write endpoints, POST /links
+// and /churn. A larger body is refused with 413 before any operation in it
+// is applied.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes the JSON request body of a write endpoint into v,
+// reading at most maxBodyBytes. On failure it answers the request itself —
+// 413 for an oversized body, 400 for a malformed one — and returns the
+// status code with ok false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) (code int, ok bool) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return 0, true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return writeError(w, http.StatusRequestEntityTooLarge, "%s exceeds %d bytes", what, tooBig.Limit), false
+	}
+	return writeError(w, http.StatusBadRequest, "bad %s: %v", what, err), false
 }
 
 // routeResponse is the GET /route/{src} success body.
@@ -281,8 +304,8 @@ type linksResponse struct {
 
 func (s *Server) handleLinks(w http.ResponseWriter, r *http.Request) int {
 	var req linksRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return writeError(w, http.StatusBadRequest, "bad links body: %v", err)
+	if code, ok := decodeBody(w, r, "links body", &req); !ok {
+		return code
 	}
 	var resp linksResponse
 	apply := func(what string, e [2]graph.NodeID, err error) {
@@ -327,8 +350,8 @@ type churnResult struct {
 
 func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) int {
 	var script []churnOp
-	if err := json.NewDecoder(r.Body).Decode(&script); err != nil {
-		return writeError(w, http.StatusBadRequest, "bad churn script: %v", err)
+	if code, ok := decodeBody(w, r, "churn script", &script); !ok {
+		return code
 	}
 	results := make([]churnResult, 0, len(script))
 	failed := false

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -24,7 +25,7 @@ func newTestServer(t *testing.T, n int) (*dist.DynamicNetwork, *httptest.Server)
 	if err := net.AwaitQuiescence(); err != nil {
 		t.Fatalf("AwaitQuiescence: %v", err)
 	}
-	srv := New(net, Config{Topology: "chain", Engine: "goroutine-per-node", Scenario: "reliable", Seed: 1})
+	srv := New(net, Config{Topology: "chain", Engine: "sharded", Scenario: "reliable", Seed: 1})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return net, ts
@@ -135,7 +136,7 @@ func TestStatusEndpoint(t *testing.T) {
 	if st.N != 5 || st.Dest != 0 || !st.Quiescent || st.Partitioned {
 		t.Errorf("status %+v", st)
 	}
-	if st.Config.Topology != "chain" || st.Config.Engine != "goroutine-per-node" {
+	if st.Config.Topology != "chain" || st.Config.Engine != "sharded" {
 		t.Errorf("config echo %+v", st.Config)
 	}
 	if st.UptimeSeconds <= 0 {
@@ -210,6 +211,49 @@ func TestChurnScriptGrowsNetwork(t *testing.T) {
 	}
 	if cr.Results[0].Error == "" || cr.Results[1].Error != "" {
 		t.Errorf("unknown-op results %+v", cr.Results)
+	}
+}
+
+// TestChurnRejectsOversizedBody sends a /churn script over the body limit:
+// the server must answer 413 and apply none of its operations — the
+// network's topology and the churn counter stay unchanged.
+func TestChurnRejectsOversizedBody(t *testing.T) {
+	net, ts := newTestServer(t, 4)
+	before := net.ReadSnapshot()
+
+	// A valid script whose first op would cut the chain, padded past the
+	// limit with no-op publishes.
+	script := []churnOp{{Op: "fail-link", U: 1, V: 2}}
+	for len(script)*len(`{"op":"publish"},`) <= maxBodyBytes {
+		script = append(script, churnOp{Op: "publish"})
+	}
+	var e map[string]string
+	if code := postJSON(t, ts.URL+"/churn", script, &e); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized churn = %d, want 413", code)
+	}
+	if e["error"] == "" {
+		t.Error("413 should explain itself")
+	}
+	if err := net.AwaitQuiescence(); err != nil {
+		t.Fatalf("network after refused script: %v", err)
+	}
+	if got := net.Snapshot().Links(1); len(got) != 2 {
+		t.Errorf("node 1 links = %v after a refused script, want both chain links", got)
+	}
+	if after := net.ReadSnapshot(); after.Epoch != before.Epoch {
+		t.Errorf("refused script moved the epoch %d -> %d", before.Epoch, after.Epoch)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body strings.Builder
+	if _, err := io.Copy(&body, resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(body.String(), "lrd_churn_ops_total 0\n") {
+		t.Error("refused script counted churn ops")
 	}
 }
 

@@ -11,9 +11,9 @@
 //     scheduler, optionally checking the paper's invariants after every
 //     step, and report work and outcome.
 //   - RunDistributed / RunDistributedWith: execute the protocol
-//     asynchronously over a simulated message-passing network, with a
-//     goroutine per node or on a sharded worker pool that batches
-//     cross-shard traffic (see DistOptions), optionally under a seeded
+//     asynchronously over a simulated message-passing network, on a
+//     sharded worker pool that batches cross-shard traffic (see
+//     DistOptions), optionally under a seeded
 //     network adversary that drops, duplicates, delays and reorders
 //     messages while a sequence-numbered ack/retransmit protocol keeps the
 //     run live (see NetworkAdversary and the fault presets).
@@ -76,13 +76,12 @@ type (
 	GrantRecord = mutex.GrantRecord
 	// DynamicNetwork runs the height-based protocol over a topology that
 	// changes at runtime: link and node churn, crash-stop and recovery,
-	// exact partition detection, selectable execution backends.
+	// exact partition detection, on a sharded worker pool.
 	DynamicNetwork = dist.DynamicNetwork
 	// NetworkSnapshot is the quiescent global state of a DynamicNetwork.
 	NetworkSnapshot = dist.Snapshot
-	// DynNetOptions tunes NewDynamicNetworkWith: execution backend (the
-	// goroutine-per-node reference or the sharded worker pool), shard
-	// count and partitioning, and the network adversary aimed at the
+	// DynNetOptions tunes NewDynamicNetworkWith: shard count and
+	// partitioning, and the network adversary aimed at the
 	// height-announcement plane.
 	DynNetOptions = dist.DynOptions
 	// PartitionError is AwaitQuiescence's exact partition report, naming
@@ -162,14 +161,14 @@ func NewMutexManager(topo *Topology) (*MutexManager, error) {
 }
 
 // NewDynamicNetwork starts the dynamic-topology protocol with default
-// options (goroutine-per-node backend, reliable network). Call
+// options (GOMAXPROCS shards, reliable network). Call
 // AwaitQuiescence before reading a Snapshot, and Stop when done.
 func NewDynamicNetwork(topo *Topology) (*DynamicNetwork, error) {
 	return dist.NewDynamicNetwork(topo)
 }
 
 // NewDynamicNetworkWith starts the dynamic-topology protocol with explicit
-// backend and fault options (see DynNetOptions).
+// engine and fault options (see DynNetOptions).
 func NewDynamicNetworkWith(topo *Topology, opts DynNetOptions) (*DynamicNetwork, error) {
 	return dist.NewDynamicNetworkWith(topo, opts)
 }
@@ -203,12 +202,30 @@ func NewRouteServer(network *DynamicNetwork, cfg ServeConfig) *RouteServer {
 	return serve.New(network, cfg)
 }
 
+// Connection bounds of Serve, so a slow or stalled client cannot hold a
+// connection or a handler open indefinitely. The write bound leaves room
+// for a long /churn script and a 30-second /debug/pprof/profile capture.
+const (
+	serveReadHeaderTimeout = 5 * time.Second
+	serveReadTimeout       = 30 * time.Second
+	serveWriteTimeout      = 2 * time.Minute
+	serveIdleTimeout       = 2 * time.Minute
+)
+
 // Serve runs the routing service over network on l until ctx is cancelled
 // (returning nil after a graceful drain) or the server fails. The caller
 // keeps ownership of both the listener's address choice and the network's
-// lifecycle; Serve closes l.
+// lifecycle; Serve closes l. Connections are bounded: request headers must
+// arrive within 5 s and whole requests within 30 s, responses are cut
+// after 2 min, and idle keep-alive connections close after 2 min.
 func Serve(ctx context.Context, l net.Listener, network *DynamicNetwork, cfg ServeConfig) error {
-	srv := &http.Server{Handler: NewRouteServer(network, cfg)}
+	srv := &http.Server{
+		Handler:           NewRouteServer(network, cfg),
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		ReadTimeout:       serveReadTimeout,
+		WriteTimeout:      serveWriteTimeout,
+		IdleTimeout:       serveIdleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(l) }()
 	select {
@@ -313,13 +330,6 @@ var (
 	// DynamicNetwork.AwaitQuiescence returns when live nodes have no path
 	// to the destination.
 	ErrPartitioned = dist.ErrPartitioned
-	// ErrSuspectedPartition is the former name of ErrPartitioned, kept so
-	// existing errors.Is checks keep matching.
-	//
-	// Deprecated: partition detection is exact now, not a height-ceiling
-	// heuristic; AwaitQuiescence names the cut component in a
-	// *PartitionError. Use ErrPartitioned.
-	ErrSuspectedPartition = dist.ErrPartitioned
 	// ErrBadDistOptions is returned by RunDistributedWith for out-of-range
 	// DistOptions values (negative shard counts, mailbox capacities, …).
 	ErrBadDistOptions = dist.ErrBadOption
@@ -460,14 +470,14 @@ const (
 	DistNewPR = dist.StaticPartialReversal
 )
 
-// DistEngine selects the execution engine behind RunDistributedWith: the
-// goroutine-per-node reference engine or the sharded worker-pool engine.
+// DistEngine names the execution engine behind RunDistributedWith and
+// DynamicNetwork; DistSharded is its only value.
 type DistEngine = dist.Engine
 
-// DistPartition selects the sharded engine's node-to-shard assignment.
+// DistPartition selects the engine's node-to-shard assignment.
 type DistPartition = dist.Partition
 
-// DistCoalescing selects whether the sharded engine's outboxes fold
+// DistCoalescing selects whether the engine's shard outboxes fold
 // byte-identical transmissions of one flush window into a single shipped
 // message (DistCoalesceOn, the default) or ship every copy individually
 // (DistCoalesceOff). Orientations, traces and the fault ledger are
@@ -480,11 +490,8 @@ type DistCoalescing = dist.Coalescing
 // memory for it.
 type DistTrace = dist.Trace
 
-// Execution engines and partition schemes for DistOptions.
+// Execution engine and partition schemes for DistOptions.
 const (
-	// DistGoroutinePerNode runs two goroutines and a mailbox per node — the
-	// reference engine, maximal per-node asynchrony, cost grows with n.
-	DistGoroutinePerNode = dist.GoroutinePerNode
 	// DistSharded partitions nodes across O(GOMAXPROCS) shard goroutines,
 	// delivers intra-shard messages without channels and batches cross-shard
 	// traffic — the engine for very large topologies.
@@ -510,8 +517,7 @@ const (
 	DistTraceOff = dist.TraceOff
 )
 
-// DistOptions tunes RunDistributedWith: engine choice, shard count and
-// partition scheme, mailbox capacity, trace recording, the runaway-step
+// DistOptions tunes RunDistributedWith: shard count and partition scheme, mailbox capacity, trace recording, the runaway-step
 // slack, and the network adversary (Adversary field; nil = reliable
 // network). The zero value reproduces RunDistributed's behaviour.
 type DistOptions = dist.Options
@@ -607,9 +613,9 @@ type DistReport struct {
 	Held        int
 	Retransmits int
 	Acks        int
-	// Remote counts sharded-engine cross-shard messages before
-	// coalescing; Coalesced counts the transmissions the outbox folded
-	// away (zero on the goroutine engine or with DistCoalesceOff).
+	// Remote counts cross-shard messages before coalescing (zero on a
+	// single shard); Coalesced counts the transmissions the outbox folded
+	// away (zero on a reliable network or with DistCoalesceOff).
 	Remote              int
 	Coalesced           int
 	Acyclic             bool
@@ -621,18 +627,18 @@ type DistReport struct {
 	Shards []ShardStats
 }
 
-// RunDistributed executes the protocol with one goroutine per node over an
-// asynchronous message-passing network and returns once it quiesces.
+// RunDistributed executes the protocol over an asynchronous
+// message-passing network with the default options — GOMAXPROCS shard
+// goroutines, whatever the node count — and returns once it quiesces.
 func RunDistributed(ctx context.Context, topo *Topology, alg DistAlgorithm) (*DistReport, error) {
 	return RunDistributedWith(ctx, topo, alg, DistOptions{})
 }
 
-// RunDistributedWith is RunDistributed with an explicit engine selection
-// and engine knobs; see DistOptions. Both engines realize legal
-// asynchronous executions of the same protocol and quiesce on identical
-// final orientations — including under a configured NetworkAdversary,
-// whose interference changes the schedule and the transport traffic but
-// never the outcome.
+// RunDistributedWith is RunDistributed with explicit engine knobs; see
+// DistOptions. Every shard layout realizes legal asynchronous executions of
+// the same protocol and quiesces on the same final orientation — including
+// under a configured NetworkAdversary, whose interference changes the
+// schedule and the transport traffic but never the outcome.
 func RunDistributedWith(ctx context.Context, topo *Topology, alg DistAlgorithm, opts DistOptions) (*DistReport, error) {
 	in, err := topo.Init()
 	if err != nil {
