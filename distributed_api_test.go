@@ -101,7 +101,6 @@ func TestRunDistributedWithBadOptions(t *testing.T) {
 	for _, opts := range []lr.DistOptions{
 		{Shards: -1},
 		{MailboxCap: -1},
-		{StepLimitSlack: -2},
 		{Engine: lr.DistEngine(9)},
 		{Adversary: &lr.NetworkAdversary{}}, // no policy
 		{Adversary: lr.NewNetworkAdversary(lr.FaultDrop{P: 2}, 1)}, // probability out of range

@@ -150,11 +150,14 @@ func (s *Set) Grow(n int) {
 	if n <= s.n {
 		return
 	}
-	if need := Words(n); need > len(s.w) {
+	if need := Words(n); need > cap(s.w) {
 		// Amortize like append: the mark sets grow one node at a time.
 		w := make([]uint64, need, max(need, 2*cap(s.w)))
 		copy(w, s.w)
 		s.w = w
+	} else if need > len(s.w) {
+		// The spare capacity was zeroed at allocation and never written.
+		s.w = s.w[:need]
 	}
 	s.n = n
 }

@@ -180,6 +180,29 @@ func TestSetAgainstReference(t *testing.T) {
 	}
 }
 
+// TestSetGrowAmortized pins Grow's capacity against bit-at-a-time growth:
+// the backing array must stay within twice the words in use (append's
+// amortization), not double again on every word boundary, and every newly
+// exposed bit must be clear.
+func TestSetGrowAmortized(t *testing.T) {
+	s := NewSet(10000)
+	for i := 0; i < 10000; i += 3 {
+		s.Set(i)
+	}
+	for n := 10001; n <= 20000; n++ {
+		s.Grow(n)
+		if c, w := cap(s.w), Words(n); c > 2*w {
+			t.Fatalf("Grow(%d): cap %d words > 2·%d", n, c, w)
+		}
+		if s.Test(n - 1) {
+			t.Fatalf("Grow(%d): new bit %d is set", n, n-1)
+		}
+	}
+	if got, want := s.Count(), (10000+2)/3; got != want {
+		t.Errorf("Count after growth = %d, want %d (the original bits)", got, want)
+	}
+}
+
 // FuzzViewOps drives a View and a Set through an arbitrary operation
 // sequence against the []bool reference model. The size byte maps onto the
 // word-boundary sizes, so the fuzzer exercises every carry/mask edge case.

@@ -40,8 +40,16 @@
 // edge incoming really is a sink, so each step it takes satisfies the
 // sequential automaton's precondition, and the real-time order of steps is
 // a legal sequential execution. Quiescence is detected by counting
-// in-flight messages: when no messages are pending, every view is exact,
-// so "no node believes it is a sink" implies global quiescence.
+// in-flight tokens: when none remain, no message is pending and every view
+// is exact, so "no node believes it is a sink" implies global quiescence.
+//
+// Both entry points run on one shard runtime with one token rule: one start
+// token per shard, plus one token per cross-shard batch in transit. A shard
+// retires the token it holds only after its local cascade has run dry and
+// its outboxes are flushed, and each flushed batch takes its own token
+// before it is sent. Intra-shard messages ride under the token the shard
+// holds; the dynamic plane's control-plane injections are one-message
+// batches whose tokens the control plane takes before injecting.
 //
 // # Safety and liveness under network faults
 //
@@ -56,11 +64,11 @@
 // unless an acknowledgement already confirmed delivery. The injector's
 // fair-loss bound caps how many times the same payload can be dropped
 // (Adversary.RetryBudget), so every reversal announcement is eventually
-// applied exactly once and liveness is preserved. Quiescence accounting is
-// extended to the fault traffic: every copy, acknowledgement, loss
-// notification and held-back message carries an in-flight token until
-// fully processed, so the counter cannot reach zero while the adversary
-// still holds traffic.
+// applied exactly once and liveness is preserved. The fault traffic needs
+// no extra tokens: duplicate copies, acknowledgements, loss notifications
+// and held-back messages travel in the run-queues and batches, so they ride
+// under the token of the shard or batch that carries them, and the counter
+// cannot reach zero while the adversary still holds traffic.
 //
 // In DynamicNetwork the same one-sided-error argument holds for heights:
 // a node's stored copy of a neighbour's height is a lower bound within the

@@ -108,7 +108,11 @@ type DynamicNetwork struct {
 	stopped  bool
 
 	inj *faults.Injector
-	be  *dynShardBackend
+	// rt runs the nodes; shards are its workers as the nodes' dynEnv.
+	// states is published copy-on-write so AddNode never blocks senders.
+	rt     *shardRuntime[dynMsg]
+	shards []*dynShard
+	states atomic.Pointer[[]*dynState]
 
 	// pub is the epoch-snapshot publication slot: an immutable *Snapshot
 	// swapped in atomically (RCU-style) by the serialized control plane, so
@@ -169,7 +173,7 @@ func NewDynamicNetworkWith(topo *workload.Topology, opts DynOptions) (*DynamicNe
 		reach:      bitset.NewSet(n),
 		inR:        bitset.NewSet(n),
 		depth:      make([]int, n),
-		inflight:   n, // one start token per node
+		inflight:   opts.Shards, // one start token per shard
 		slack:      8*n + 64,
 		stop:       make(chan struct{}),
 	}
@@ -213,8 +217,7 @@ func NewDynamicNetworkWith(topo *workload.Topology, opts DynOptions) (*DynamicNe
 		}
 		states[u] = st
 	}
-	d.be = newDynShardBackend(d, states)
-	d.be.start()
+	d.startShards(states)
 	// Publish the initial state as epoch 1 so ReadSnapshot never returns
 	// nil, then start the cadence publisher if one was configured.
 	d.mu.Lock()
@@ -246,63 +249,10 @@ func (d *DynamicNetwork) rebuildAdjLocked() {
 	d.adjDirty = false
 }
 
-// retire returns n in-flight tokens and wakes AwaitQuiescence waiters when
-// the network drains.
-func (d *DynamicNetwork) retire(n int) {
-	if n == 0 {
-		return
-	}
-	d.mu.Lock()
-	d.inflight -= n
-	if d.inflight == 0 {
-		d.cond.Broadcast()
-	}
-	d.mu.Unlock()
-}
-
-// isStopped reports whether Stop was called, without taking mu.
-func (d *DynamicNetwork) isStopped() bool {
-	select {
-	case <-d.stop:
-		return true
-	default:
-		return false
-	}
-}
-
-// fanout delivers m on behalf of st, routing height announcements through
-// the fault injector: a dropped transmission is retransmitted immediately
-// (the fair-loss bound terminates the loop — this is the ack/retransmit
-// protocol with zero-latency loss notifications), duplicate copies take
-// extra in-flight tokens, and holdbacks ride in the message for the
-// receiver to requeue. Control traffic bypasses the adversary: the control
-// plane's view of the topology must stay authoritative.
-func (d *DynamicNetwork) fanout(st *dynState, m dynMsg, deliver func(dynMsg), sink *obs.Shard) {
-	if d.inj == nil || m.Kind != dynHeight {
-		deliver(m)
-		return
-	}
-	st.seq++
-	link := faults.Link{From: st.id, To: m.To}
-	for attempt := 0; ; attempt++ {
-		f := d.inj.Judge(link, faults.Msg{Seq: st.seq, Attempt: attempt})
-		if f.Drop {
-			d.retrans.Add(1)
-			sink.Retransmit(st.id, m.To, int64(st.seq))
-			continue
-		}
-		m.Hold = uint8(f.Hold)
-		if f.Extra > 0 {
-			d.mu.Lock()
-			d.inflight += f.Extra
-			d.mu.Unlock()
-		}
-		for c := 0; c <= f.Extra; c++ {
-			deliver(m)
-		}
-		return
-	}
-}
+// inject hands one control-plane message to its node's shard. The caller
+// took its token under mu, so AwaitQuiescence cannot report quiescence
+// before the message is handled.
+func (d *DynamicNetwork) inject(m dynMsg) { d.rt.inject(m.To, m) }
 
 func (d *DynamicNetwork) validNode(u graph.NodeID) error {
 	if int(u) < 0 || int(u) >= d.n {
@@ -401,12 +351,12 @@ func (d *DynamicNetwork) AddLink(u, v graph.NodeID) error {
 	d.inflight += len(erase) + 2 + len(pokes)
 	d.mu.Unlock()
 	for _, m := range erase {
-		d.be.inject(m)
+		d.inject(m)
 	}
-	d.be.inject(dynMsg{Kind: dynLinkUp, To: u, Peer: v})
-	d.be.inject(dynMsg{Kind: dynLinkUp, To: v, Peer: u})
+	d.inject(dynMsg{Kind: dynLinkUp, To: u, Peer: v})
+	d.inject(dynMsg{Kind: dynLinkUp, To: v, Peer: u})
 	for _, id := range pokes {
-		d.be.inject(dynMsg{Kind: dynPoke, To: id})
+		d.inject(dynMsg{Kind: dynPoke, To: id})
 	}
 	return nil
 }
@@ -439,8 +389,8 @@ func (d *DynamicNetwork) FailLink(u, v graph.NodeID) error {
 	d.topoVer++
 	d.inflight += 2
 	d.mu.Unlock()
-	d.be.inject(dynMsg{Kind: dynLinkDown, To: u, Peer: v})
-	d.be.inject(dynMsg{Kind: dynLinkDown, To: v, Peer: u})
+	d.inject(dynMsg{Kind: dynLinkDown, To: u, Peer: v})
+	d.inject(dynMsg{Kind: dynLinkDown, To: v, Peer: u})
 	return nil
 }
 
@@ -472,9 +422,10 @@ func (d *DynamicNetwork) AddNode() (graph.NodeID, error) {
 	d.depth = append(d.depth, 0)
 	d.adjCache = append(d.adjCache, nil)
 	d.topoVer++
+	d.inflight++ // the new node's start message
 	st := &dynState{net: d, id: id, h: d.heights[id]}
 	d.mu.Unlock()
-	d.be.addNode(st)
+	d.attach(st)
 	return id, nil
 }
 
@@ -526,9 +477,9 @@ func (d *DynamicNetwork) RemoveNode(u graph.NodeID) error {
 	d.topoVer++
 	d.inflight += 1 + len(links)
 	d.mu.Unlock()
-	d.be.inject(dynMsg{Kind: dynRemove, To: u})
+	d.inject(dynMsg{Kind: dynRemove, To: u})
 	for _, v := range links {
-		d.be.inject(dynMsg{Kind: dynLinkDown, To: v, Peer: u})
+		d.inject(dynMsg{Kind: dynLinkDown, To: v, Peer: u})
 	}
 	return nil
 }
@@ -556,7 +507,7 @@ func (d *DynamicNetwork) Crash(u graph.NodeID) error {
 	d.everCrashed = true
 	d.inflight++
 	d.mu.Unlock()
-	d.be.inject(dynMsg{Kind: dynCrash, To: u})
+	d.inject(dynMsg{Kind: dynCrash, To: u})
 	return nil
 }
 
@@ -589,7 +540,7 @@ func (d *DynamicNetwork) Recover(u graph.NodeID) error {
 	d.crashedCtl[u] = false
 	d.inflight++
 	d.mu.Unlock()
-	d.be.inject(dynMsg{Kind: dynRecover, To: u, Views: views})
+	d.inject(dynMsg{Kind: dynRecover, To: u, Views: views})
 	return nil
 }
 
@@ -792,7 +743,7 @@ func (d *DynamicNetwork) AwaitQuiescence() error {
 			d.inflight += len(msgs)
 			d.mu.Unlock()
 			for _, m := range msgs {
-				d.be.inject(m)
+				d.inject(m)
 			}
 			d.mu.Lock()
 			continue
@@ -808,7 +759,7 @@ func (d *DynamicNetwork) AwaitQuiescence() error {
 				d.inflight++
 				id := graph.NodeID(id)
 				d.mu.Unlock()
-				d.be.inject(dynMsg{Kind: dynPoke, To: id})
+				d.inject(dynMsg{Kind: dynPoke, To: id})
 				d.mu.Lock()
 			}
 			if pokes > 0 {

@@ -13,12 +13,10 @@ import (
 // drives one dynState by hand.
 type dynEnv interface {
 	// transmit sends m (with m.To set) on behalf of st, routing height
-	// announcements through the fault plane. The in-flight token was
-	// accounted by the caller under mu.
+	// announcements through the fault plane.
 	transmit(st *dynState, m dynMsg)
-	// requeue puts m at the back of st's own delivery queue, keeping the
-	// token it already carries — the receiver-side holdback of the fault
-	// adversary.
+	// requeue puts m at the back of st's own delivery queue — the
+	// receiver-side holdback of the fault adversary.
 	requeue(st *dynState, m dynMsg)
 	// sink returns the executor's telemetry sink, nil unless
 	// DynOptions.Observer is armed. The obs.Shard methods are no-ops on a
@@ -149,7 +147,6 @@ func (st *dynState) commit(env dynEnv, newH DynHeight) bool {
 	net.stats.Steps++
 	net.stats.TotalReversals += flips
 	net.stats.Messages += len(st.nbrs)
-	net.inflight += len(st.nbrs)
 	net.mu.Unlock()
 	env.sink().Step(st.id, flips)
 	st.parked = false
@@ -262,7 +259,7 @@ func (st *dynState) act(env dynEnv) {
 }
 
 // announceAll sends this node's current height to every neighbour,
-// accounting the messages and tokens under mu first.
+// accounting the messages under mu first.
 func (st *dynState) announceAll(env dynEnv) {
 	if len(st.nbrs) == 0 {
 		return
@@ -270,7 +267,6 @@ func (st *dynState) announceAll(env dynEnv) {
 	net := st.net
 	net.mu.Lock()
 	net.stats.Messages += len(st.nbrs)
-	net.inflight += len(st.nbrs)
 	net.mu.Unlock()
 	for _, view := range st.nbrs {
 		env.transmit(st, dynMsg{Kind: dynHeight, To: view.id, Peer: st.id, H: st.h, Gen: st.gen})
@@ -283,7 +279,6 @@ func (st *dynState) introduce(env dynEnv, peer graph.NodeID) {
 	net := st.net
 	net.mu.Lock()
 	net.stats.Messages++
-	net.inflight++
 	net.mu.Unlock()
 	env.transmit(st, dynMsg{Kind: dynHeight, To: peer, Peer: st.id, H: st.h, Gen: st.gen})
 }
@@ -309,28 +304,27 @@ func (st *dynState) linkDown(env dynEnv, peer graph.NodeID) {
 }
 
 // handle processes one message and re-evaluates the node's protocol state.
-// It reports whether the message was consumed; false means it was requeued
-// (holdback) and keeps its in-flight token.
-func (st *dynState) handle(env dynEnv, m dynMsg) bool {
+// A held-back message is requeued instead.
+func (st *dynState) handle(env dynEnv, m dynMsg) {
 	if m.Hold > 0 {
 		m.Hold--
 		env.requeue(st, m)
-		return false
+		return
 	}
 	if st.dead {
-		return true
+		return
 	}
 	switch m.Kind {
 	case dynCrash:
 		st.crashed = true
-		return true
+		return
 	case dynRemove:
 		st.dead = true
 		st.nbrs = nil
 		st.pending = nil
 		st.parked = false
 		st.detected = false
-		return true
+		return
 	case dynRecover:
 		st.crashed = false
 		st.nbrs = append(st.nbrs[:0], m.Views...)
@@ -350,13 +344,13 @@ func (st *dynState) handle(env dynEnv, m dynMsg) bool {
 		st.nbrs = append(st.nbrs[:0], m.Views...)
 		st.pending = st.pending[:0]
 		if st.crashed {
-			return true
+			return
 		}
 		st.announceAll(env)
 	default:
 		if st.crashed {
 			// Crash-stop: protocol traffic is dropped on the floor.
-			return true
+			return
 		}
 		switch m.Kind {
 		case dynStart, dynPoke:
@@ -389,5 +383,4 @@ func (st *dynState) handle(env dynEnv, m dynMsg) bool {
 		}
 	}
 	st.act(env)
-	return true
 }

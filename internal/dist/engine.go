@@ -11,26 +11,23 @@ import (
 	"linkreversal/internal/graph"
 )
 
-// runCore is the accounting shared by the shards of one RunWith
-// invocation. The hot-path counters — statistics and the in-flight token
-// count that detects quiescence — are plain atomics, so steps on different
-// shards never serialize through a lock. Only the optional trace
-// (and the failure slot) sit behind mu: when Options.RecordTrace is off,
-// the mutex is never taken after construction.
+// runCore is one RunWith invocation: the node table, the shard runtime it
+// hosts, and the accounting its shards share. The hot-path counters —
+// statistics and the in-flight token count that detects quiescence — are
+// plain atomics, so steps on different shards never serialize through a
+// lock. Only the optional trace (and the failure slot) sit behind mu: when
+// Options.RecordTrace is off, the mutex is never taken after construction.
 type runCore struct {
 	inflight    atomic.Int64
 	steps       atomic.Int64
 	reversals   atomic.Int64
 	messages    atomic.Int64
-	batches     atomic.Int64
 	acks        atomic.Int64
 	retransmits atomic.Int64
-	// remote and coalesced are the transport counters: cross-shard
-	// transmissions (counted before coalescing) and squashed duplicate
-	// copies. Shards accumulate them locally and fold them in at flush time,
-	// so neither costs a per-message atomic.
-	remote    atomic.Int64
-	coalesced atomic.Int64
+
+	nodes  []runNode
+	shards []*shard
+	rt     *shardRuntime[shardMsg]
 
 	stepLimit   int64
 	recordTrace bool
@@ -100,23 +97,16 @@ func (c *runCore) fail(err error) {
 	c.quietOnce.Do(func() { close(c.quiet) })
 }
 
-// addBatches accounts n message batches about to enter the transport: one
-// in-flight token per batch, added before the batch is sent — and while the
-// sending shard still holds its own unretired token — so the counter can
-// never reach zero while a batch exists.
-func (c *runCore) addBatches(n int) {
-	c.inflight.Add(int64(n))
-	c.batches.Add(int64(n))
-}
-
-// done retires n in-flight tokens and closes quiet when none remain. A
-// token is retired only after its holder has fully processed the message or
-// batch it stands for (including any steps it triggered), so the count
-// hitting zero implies every view is exact and no node is a sink: global
+// add and retire keep the in-flight token count of shardHost's token rule.
+// A token is retired only after its holder has fully processed the batch
+// it stands for (including any steps it triggered), so the count hitting
+// zero implies every view is exact and no node is a sink: global
 // quiescence. The atomic decrement observes zero in exactly one goroutine,
 // which closes quiet.
-func (c *runCore) done(n int) {
-	if c.inflight.Add(int64(-n)) == 0 {
+func (c *runCore) add() { c.inflight.Add(1) }
+
+func (c *runCore) retire() {
+	if c.inflight.Add(-1) == 0 {
 		c.quietOnce.Do(func() { close(c.quiet) })
 	}
 }
@@ -157,30 +147,21 @@ func (c *runCore) judgeSend(from, to graph.NodeID, seq uint32, attempt int32, ki
 func (c *runCore) snapshot() Stats {
 	s := Stats{
 		Messages:       int(c.messages.Load()),
-		Batches:        int(c.batches.Load()),
+		Batches:        int(c.rt.batches.Load()),
 		Steps:          int(c.steps.Load()),
 		TotalReversals: int(c.reversals.Load()),
 		Acks:           int(c.acks.Load()),
 		Retransmits:    int(c.retransmits.Load()),
-		Remote:         int(c.remote.Load()),
-		Coalesced:      int(c.coalesced.Load()),
+		Remote:         int(c.rt.remote.Load()),
+	}
+	for _, sh := range c.shards {
+		s.Coalesced += int(sh.coalesced)
 	}
 	if c.inj != nil {
 		fs := c.inj.Snapshot()
 		s.Drops, s.Dups, s.Held = fs.Drops, fs.Dups, fs.Held
 	}
 	return s
-}
-
-// stopped reports whether the engine has been told to shut down, without
-// blocking. Long local cascades poll it so cancellation stays prompt.
-func (c *runCore) stopped() bool {
-	select {
-	case <-c.stop:
-		return true
-	default:
-		return false
-	}
 }
 
 // RunWith executes alg on in's topology under the engine tuned by opts
@@ -202,12 +183,18 @@ func RunWith(ctx context.Context, in *core.Init, alg Algorithm, opts Options) (*
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	g := in.Graph()
-	n := g.NumNodes()
 	// NewPR takes at most one dummy step per real step, and sequential
 	// executions are bounded well under 100·n²+100 steps; double that
 	// factor so hitting the limit can only mean an engine bug.
-	limit := 200*int64(n)*int64(n) + int64(opts.StepLimitSlack)
+	n := int64(in.Graph().NumNodes())
+	return run(ctx, in, alg, opts, 200*n*n+200)
+}
+
+// run is RunWith after validation, aborting with ErrStepLimit once the
+// shards take more than limit steps.
+func run(ctx context.Context, in *core.Init, alg Algorithm, opts Options, limit int64) (*Result, error) {
+	g := in.Graph()
+	n := g.NumNodes()
 	record := opts.RecordTrace == TraceRecorded
 	shards := min(opts.Shards, n)
 	c := newRunCore(limit, shards, record) // one start token per shard
@@ -220,8 +207,7 @@ func RunWith(ctx context.Context, in *core.Init, alg Algorithm, opts Options) (*
 	}
 	// One sink per shard; the shards pick theirs up from opts after Attach.
 	opts.Observer.Attach(shards)
-	eng := newShardEngine(c, in, alg, opts, shards)
-	eng.start()
+	c.startShards(in, alg, opts, shards)
 
 	var ctxErr error
 	select {
@@ -244,7 +230,7 @@ func RunWith(ctx context.Context, in *core.Init, alg Algorithm, opts Options) (*
 	}
 	directed := make([][2]graph.NodeID, 0, g.NumEdges())
 	for _, e := range g.Edges() {
-		if eng.nodes[e.U].incomingTo(e.V) {
+		if c.nodes[e.U].incomingTo(e.V) {
 			directed = append(directed, [2]graph.NodeID{e.V, e.U})
 		} else {
 			directed = append(directed, [2]graph.NodeID{e.U, e.V})

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -100,7 +101,6 @@ func TestOptionsValidation(t *testing.T) {
 		{Coalesce: Coalescing(42)},
 		{Shards: -1},
 		{MailboxCap: -3},
-		{StepLimitSlack: -1},
 		{RecordTrace: Trace(42)},
 	}
 	for _, opts := range bad {
@@ -115,7 +115,7 @@ func TestOptionsValidation(t *testing.T) {
 		{Shards: 2, Partition: PartitionLocality},
 		{Coalesce: CoalesceOff},
 		{Coalesce: CoalesceOn},
-		{MailboxCap: 1, StepLimitSlack: 1000},
+		{MailboxCap: 1},
 		{Shards: 2, MailboxCap: 1},
 		{RecordTrace: TraceOff},
 		{Shards: perNodeShards, RecordTrace: TraceOff},
@@ -330,7 +330,8 @@ func TestRunWithCancelMidRun(t *testing.T) {
 // 2·shards workers (loop + mailbox pump each) plus a small slack,
 // regardless of the 1501-node topology — for an explicit shard count and
 // for the zero-value Options that Run uses, whose default is GOMAXPROCS
-// shards.
+// shards. A DynamicNetwork under churn keeps the same bound (plus its
+// cadence publisher) and leaves no goroutine behind after Stop.
 func TestShardedGoroutineCount(t *testing.T) {
 	in, err := workload.BadChain(1500).Init()
 	if err != nil {
@@ -369,6 +370,76 @@ func TestShardedGoroutineCount(t *testing.T) {
 			t.Errorf("%+v: goroutine peak %d > %d (baseline %d + 2·%d shards + slack)",
 				tc.opts, peak, limit, baseline, tc.shards)
 		}
+	}
+
+	// The dynamic plane under churn: the same 2·shards bound plus the
+	// cadence publisher, and back to the baseline after Stop.
+	const shards = 4
+	topo := workload.Grid(20, 20)
+	baseline := runtime.NumGoroutine()
+	var peak atomic.Int64
+	stopSampling, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			if g := int64(runtime.NumGoroutine()); g > peak.Load() {
+				peak.Store(g)
+			}
+			select {
+			case <-stopSampling:
+				return
+			default:
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}()
+	net, err := NewDynamicNetworkWith(topo, DynOptions{Shards: shards, PublishEvery: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range topo.Graph.Edges()[:20] {
+		if err := net.FailLink(e.U, e.V); err != nil {
+			t.Fatal(err)
+		}
+		if err := net.AwaitQuiescence(); err != nil {
+			t.Fatal(err)
+		}
+		if err := net.AddLink(e.U, e.V); err != nil {
+			t.Fatal(err)
+		}
+		if err := net.AwaitQuiescence(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net.Stop()
+	close(stopSampling)
+	<-sampled
+	// +1 for the sampler itself, +1 for the publisher.
+	if limit := int64(baseline + 1 + 2*shards + 1 + 4); peak.Load() > limit {
+		t.Errorf("DynamicNetwork: goroutine peak %d > %d (baseline %d + sampler + 2·%d shards + publisher + slack)",
+			peak.Load(), limit, baseline, shards)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("DynamicNetwork: %d goroutines after Stop, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+	}
+}
+
+// TestStepLimitAborts drives the runaway-step budget end to end: a run
+// whose budget is a single step must abort with ErrStepLimit instead of
+// quiescing.
+func TestStepLimitAborts(t *testing.T) {
+	in, err := workload.BadChain(8).Init()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := Options{Shards: 2}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run(context.Background(), in, FullReversal, opts, 1); !errors.Is(err, ErrStepLimit) {
+		t.Fatalf("run with a one-step budget: err = %v, want ErrStepLimit", err)
 	}
 }
 

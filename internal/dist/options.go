@@ -177,14 +177,11 @@ const (
 	// descheduled; the pump itself never blocks on ingress, so there is no
 	// deadlock cycle regardless of traffic pattern.
 	defaultMailboxCap = 64
-	// defaultStepLimitSlack is the default additive slack of the runaway
-	// protection budget; see Options.StepLimitSlack.
-	defaultStepLimitSlack = 200
 )
 
 // Options tunes RunWith. The zero value selects GOMAXPROCS shards with
-// block partitioning, default mailbox capacity and step-limit slack,
-// matching the behaviour of Run.
+// block partitioning and default mailbox capacity, matching the behaviour
+// of Run.
 type Options struct {
 	// Engine names the execution engine; 0 and Sharded both select it, and
 	// any other value is rejected with ErrBadOption.
@@ -210,12 +207,6 @@ type Options struct {
 	// O(steps) trace memory, at the price of Result.Trace (and with it the
 	// sequential replay cross-check).
 	RecordTrace Trace
-	// StepLimitSlack is the additive slack of the runaway-step budget
-	// 200·n² + slack; 0 means 200. Exceeding the budget aborts the run
-	// with ErrStepLimit — it indicates an engine bug, not a property of
-	// the algorithms, so the slack only matters to tests that want a
-	// tighter abort.
-	StepLimitSlack int
 	// Profile selects whether the run maintains per-node step and reversal
 	// counters (Result.NodeSteps / Result.NodeReversals); 0 means
 	// ProfileOff. Unlike the trace it stays O(n) regardless of run length,
@@ -354,12 +345,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.MailboxCap == 0 {
 		o.MailboxCap = defaultMailboxCap
-	}
-	if o.StepLimitSlack < 0 {
-		return o, fmt.Errorf("%w: step-limit slack %d", ErrBadOption, o.StepLimitSlack)
-	}
-	if o.StepLimitSlack == 0 {
-		o.StepLimitSlack = defaultStepLimitSlack
 	}
 	switch o.Profile {
 	case 0:

@@ -1,12 +1,8 @@
 package dist
 
 import (
-	"sync"
-	"time"
-
 	"linkreversal/internal/core"
 	"linkreversal/internal/graph"
-	"linkreversal/internal/obs"
 )
 
 // shardMsg is one transmission in transit, normally a reversal
@@ -48,20 +44,6 @@ type shardMsg struct {
 // duplication at maxExtra copies per judgment.)
 const maxCopies = ^uint8(0)
 
-// batch is a reusable buffer of cross-shard messages. Batches circulate
-// through the engine's pool: a sender takes one when it first writes to an
-// outbox, and the receiving shard hands it back after processing, so the
-// steady state allocates nothing per flush — the backing arrays are
-// recycled at whatever capacity the traffic grew them to.
-type batch struct {
-	msgs []shardMsg
-}
-
-// drainStopCheck is how many local deliveries a shard processes between
-// polls of the stop channel. It bounds cancellation latency during long
-// intra-shard cascades without paying a select per message.
-const drainStopCheck = 256
-
 // partitioner maps node IDs to shards. Assignments are deterministic and
 // total: every node of the topology belongs to exactly one shard in
 // [0, shards).
@@ -71,8 +53,7 @@ type partitioner struct {
 	// block is the nodes-per-shard quotum ⌈n/shards⌉ of PartitionBlock.
 	block int
 	// assign is PartitionLocality's precomputed node→shard table; nil for
-	// the arithmetic schemes. Node IDs beyond its length (added after
-	// construction by a dynamic network) clamp onto the last shard.
+	// the arithmetic schemes.
 	assign []int32
 }
 
@@ -92,6 +73,9 @@ func newPartitioner(scheme Partition, n, shards int, nbrs func(graph.NodeID) []g
 	return p
 }
 
+// shardOf returns u's shard. Node IDs beyond the construction-time count
+// (added at runtime by a dynamic network) overflow the locality table and
+// the block quota; they clamp onto the last shard.
 func (p partitioner) shardOf(u graph.NodeID) int {
 	switch {
 	case p.assign != nil:
@@ -102,7 +86,7 @@ func (p partitioner) shardOf(u graph.NodeID) int {
 	case p.scheme == PartitionHash:
 		return int(u) % p.shards
 	default:
-		return int(u) / p.block
+		return min(int(u)/p.block, p.shards-1)
 	}
 }
 
@@ -152,40 +136,39 @@ func localityAssign(n, shards int, nbrs func(graph.NodeID) []graph.NodeID) []int
 	return assign
 }
 
-// shardEngine is RunWith's execution engine: it partitions the nodes
-// across a fixed set of shard goroutines. Each shard owns its nodes'
-// protocol state outright, so intra-shard messages are delivered through a
-// plain slice run-queue with no channel or lock on the path; only
-// cross-shard traffic touches the transport, and it travels in
-// per-destination batches drawn from a shared pool. Quiescence detection
-// counts batches instead of messages: the in-flight tokens are one start
-// token per shard plus one token per batch in transit, and a shard retires
-// the token it holds only after its entire local cascade has run dry and
-// its outboxes are flushed. Goroutine count is 2·shards (one loop plus one
-// mailbox pump each), independent of the node count.
-type shardEngine struct {
-	c      *runCore
-	part   partitioner
-	nodes  []runNode
-	shards []*shard
-	// pool recycles flushed batch buffers: senders take, receivers return.
-	pool sync.Pool
+// shard is RunWith's view of one runtime worker: the worker plus the
+// static plane's outbox coalescing. The nodes' views are read by RunWith
+// only after the WaitGroup drained.
+type shard struct {
+	*worker[shardMsg]
+	c *runCore
+	// nodes are the protocol nodes this shard owns.
+	nodes []*runNode
+	// coalesce indexes the current flush window's outbox entries by their
+	// content (Copies zeroed), so a byte-identical repeat increments the
+	// existing entry's Copies instead of appending. The key's To field pins
+	// each entry to exactly one destination batch, so one map covers all
+	// outboxes; it is cleared when route first runs in a new window. nil
+	// when coalescing is off or no adversary is armed (reliable traffic
+	// cannot repeat within a window; see startShards).
+	coalesce map[shardMsg]int32
+	// coalesceWindow is the worker window the coalesce map indexes.
+	coalesceWindow uint64
+	// coalesced counts the copies folded into pending entries; RunWith
+	// sums it across shards after they exited.
+	coalesced int64
 }
 
-func newShardEngine(c *runCore, in *core.Init, alg Algorithm, opts Options, shards int) *shardEngine {
+// startShards builds the node table and the shard runtime over it and
+// launches the shards.
+func (c *runCore) startShards(in *core.Init, alg Algorithm, opts Options, shards int) {
 	g := in.Graph()
-	n := g.NumNodes()
 	// The partitioner is built before the node table: newRunNodes packs the
 	// bit views densely within one shard's nodes and word-aligns the
 	// boundaries between shards, so it needs the ownership map up front.
-	part := newPartitioner(opts.Partition, n, shards, g.Neighbors)
-	e := &shardEngine{
-		c:      c,
-		part:   part,
-		nodes:  newRunNodes(in, alg, c.inj != nil, part.shardOf),
-		shards: make([]*shard, shards),
-	}
-	e.pool.New = func() any { return new(batch) }
+	part := newPartitioner(opts.Partition, g.NumNodes(), shards, g.Neighbors)
+	c.nodes = newRunNodes(in, alg, c.inj != nil, part.shardOf)
+	c.rt = newShardRuntime[shardMsg](c, part, opts.MailboxCap, opts.Observer, c.stop, &c.wg)
 	// Coalescing needs the per-shard dedup map only when repeats can occur
 	// at all: on a reliable network a directed link carries at most one
 	// transmission per flush window (a node re-reverses an edge only after
@@ -193,83 +176,29 @@ func newShardEngine(c *runCore, in *core.Init, alg Algorithm, opts Options, shar
 	// the unflushed outbox), so the map — and its per-message lookup — is
 	// armed only under a fault adversary.
 	coalesce := c.inj != nil && opts.Coalesce == CoalesceOn
-	for i := range e.shards {
-		e.shards[i] = &shard{
-			eng: e,
-			id:  i,
-			out: make([]*batch, shards),
-			tx:  make(chan *batch, opts.MailboxCap),
-			rx:  make(chan *batch),
-		}
+	c.shards = make([]*shard, shards)
+	for i, w := range c.rt.workers {
+		c.shards[i] = &shard{worker: w, c: c}
 		if coalesce {
-			e.shards[i].coalesce = make(map[shardMsg]int32)
+			c.shards[i].coalesce = make(map[shardMsg]int32)
 		}
-		e.shards[i].obs = opts.Observer.Shard(i) // nil when no observer is armed
 	}
-	for u := 0; u < n; u++ {
-		s := e.shards[e.part.shardOf(graph.NodeID(u))]
-		s.nodes = append(s.nodes, &e.nodes[u])
+	for u := range c.nodes {
+		s := c.shards[part.shardOf(graph.NodeID(u))]
+		s.nodes = append(s.nodes, &c.nodes[u])
 	}
-	return e
+	c.rt.start()
 }
 
-func (e *shardEngine) start() {
-	for _, s := range e.shards {
-		e.c.wg.Add(2)
-		go func(s *shard) {
-			defer e.c.wg.Done()
-			mailbox(s.tx, s.rx, e.c.stop)
-		}(s)
-		go s.loop()
+// begin and process make runCore the static plane's shardHost.
+func (c *runCore) begin(i int) {
+	s := c.shards[i]
+	for _, nd := range s.nodes {
+		nd.act(s)
 	}
 }
 
-// getBatch takes an empty batch from the pool; recycle returns a processed
-// one. The interface conversion is free (batches travel as pointers), so
-// neither direction allocates in the steady state.
-func (e *shardEngine) getBatch() *batch { return e.pool.Get().(*batch) }
-
-func (e *shardEngine) recycle(b *batch) {
-	b.msgs = b.msgs[:0]
-	e.pool.Put(b)
-}
-
-// shard is one worker of the sharded engine. Its fields are owned by the
-// shard goroutine; nodes' views are read by RunWith only after the
-// WaitGroup drained.
-type shard struct {
-	eng *shardEngine
-	id  int
-	// nodes are the protocol nodes this shard owns.
-	nodes []*runNode
-	// local is the run-queue of intra-shard deliveries, appended by deliver
-	// and consumed in FIFO order by drain. Its backing array is reused
-	// across drains.
-	local []shardMsg
-	// out[d] is the outbox of messages bound for shard d — a pooled batch,
-	// taken lazily on first write and handed off whole at flush.
-	out []*batch
-	// coalesce indexes the current flush window's outbox entries by their
-	// content (Copies zeroed), so a byte-identical repeat increments the
-	// existing entry's Copies instead of appending. The key's To field pins
-	// each entry to exactly one destination batch, so one map covers all
-	// outboxes; it is cleared when the window closes at flush. nil when
-	// coalescing is off or no adversary is armed (reliable traffic cannot
-	// repeat within a window; see newShardEngine).
-	coalesce map[shardMsg]int32
-	// remotePending and coalescedPending accumulate this window's
-	// cross-shard transmission count (pre-coalescing) and squashed-copy
-	// count; flush folds them into the shared atomics, so the hot path
-	// never touches one.
-	remotePending, coalescedPending int64
-	// tx is the ingress channel of this shard's mailbox; rx the pump's
-	// output.
-	tx, rx chan *batch
-	// obs is this shard's telemetry sink, nil unless Options.Observer is
-	// armed — every hook below it is guarded by a nil check, so the
-	// disarmed hot path costs one predictable branch.
-	obs *obs.Shard
-}
+func (c *runCore) process(i int, m shardMsg) { c.shards[i].process(m) }
 
 // announce records the beginning of a step by node u of this shard that
 // reverses the edges to targets neighbours. A message the step hands to
@@ -282,22 +211,19 @@ type shard struct {
 // it currently holds, and cross-shard batches take their own token at flush
 // time.
 func (s *shard) announce(u graph.NodeID, targets int) {
-	s.eng.c.record(u, targets)
+	s.c.record(u, targets)
 	if s.obs != nil {
 		s.obs.Step(u, targets)
 	}
 }
 
-// deliver routes one reversal message: same shard → local run-queue,
-// otherwise → the destination shard's outbox. It is the reliable-network
-// fast path; faulty traffic goes through send.
+// deliver routes one reversal message. It is the reliable-network fast
+// path; faulty traffic goes through send.
 func (s *shard) deliver(to graph.NodeID, slot int32) {
 	s.route(shardMsg{To: to, Slot: slot})
 }
 
-// route files one transmission by destination shard. No token is taken
-// here under either path: intra-shard messages are covered by the token
-// the shard currently holds, and cross-shard batches take theirs at flush.
+// route files one transmission by destination shard (worker.route).
 // Cross-shard transmissions are counted (Stats.Remote) before coalescing,
 // so the count reflects what the protocol sent, not what the transport
 // shipped; a transmission byte-identical to one already in the window's
@@ -306,28 +232,24 @@ func (s *shard) deliver(to graph.NodeID, slot int32) {
 // ledger — every ack, dedup and retransmission decision downstream of the
 // squashed copy — is unchanged.
 func (s *shard) route(m shardMsg) {
-	if d := s.eng.part.shardOf(m.To); d != s.id {
-		s.remotePending++
-		b := s.out[d]
-		if b == nil {
-			b = s.eng.getBatch()
-			s.out[d] = b
+	if s.coalesce != nil {
+		if s.coalesceWindow != s.window {
+			clear(s.coalesce)
+			s.coalesceWindow = s.window
 		}
-		if s.coalesce != nil {
+		if d := s.rt.part.shardOf(m.To); d != s.id {
+			b := s.outbox(d)
 			if i, ok := s.coalesce[m]; ok && b.msgs[i].Copies < maxCopies {
 				b.msgs[i].Copies++
-				s.coalescedPending++
+				s.remotePending++
+				s.coalesced++
+				s.obs.Coalesced(1)
 				return
 			}
 			s.coalesce[m] = int32(len(b.msgs))
 		}
-		b.msgs = append(b.msgs, m)
-		return
 	}
-	s.local = append(s.local, m)
-	if s.obs != nil {
-		s.obs.RunQueue(len(s.local))
-	}
+	s.worker.route(m.To, m)
 }
 
 // send is deliver's fault-aware sibling, used only when an adversary is
@@ -339,10 +261,10 @@ func (s *shard) route(m shardMsg) {
 // dropped payloads become loss notifications back to the sender — which is
 // always a node this shard owns, so the nack lands in the local run-queue
 // — and surviving copies (plus duplicates) are routed with their holdback.
-// The existing batch-counting quiescence discipline already covers all of
-// this traffic, so no extra tokens are needed.
+// All of this traffic rides under the batch tokens, so no extra tokens are
+// needed.
 func (s *shard) send(from graph.NodeID, fromSlot int32, to graph.NodeID, toSlot int32, seq uint32, attempt int32, kind msgKind) {
-	f, dropped, notify := s.eng.c.judgeSend(from, to, seq, attempt, kind)
+	f, dropped, notify := s.c.judgeSend(from, to, seq, attempt, kind)
 	if s.obs != nil {
 		switch {
 		case kind == msgAck:
@@ -353,7 +275,7 @@ func (s *shard) send(from graph.NodeID, fromSlot int32, to graph.NodeID, toSlot 
 	}
 	if dropped {
 		if notify {
-			s.local = append(s.local, shardMsg{To: from, Slot: fromSlot, Seq: seq, Kind: msgNack})
+			s.requeue(shardMsg{To: from, Slot: fromSlot, Seq: seq, Kind: msgNack})
 			if s.obs != nil {
 				s.obs.Nack(from, to, int64(seq))
 			}
@@ -377,10 +299,10 @@ func (s *shard) send(from graph.NodeID, fromSlot int32, to graph.NodeID, toSlot 
 func (s *shard) process(m shardMsg) {
 	if m.Hold > 0 {
 		m.Hold--
-		s.local = append(s.local, m)
+		s.requeue(m)
 		return
 	}
-	nd := &s.eng.nodes[m.To]
+	nd := &s.c.nodes[m.To]
 	for c := uint8(0); ; c++ {
 		if s.obs != nil && m.Kind == msgData {
 			s.obs.Deliver(m.To, -1, int64(m.Seq))
@@ -394,106 +316,4 @@ func (s *shard) process(m shardMsg) {
 			return
 		}
 	}
-}
-
-// loop is the shard goroutine: run the initial acts of the owned nodes,
-// then serve incoming batches until shutdown. The start token is retired
-// after the initial cascade, each batch's token after that batch is fully
-// processed — at which point the batch buffer goes back to the pool.
-func (s *shard) loop() {
-	defer s.eng.c.wg.Done()
-	// With an observer armed, the worker's wall clock is split into busy
-	// (processing) and idle (blocked on the mailbox) spans around each
-	// select. One time.Now per batch, never per message.
-	var mark time.Time
-	if s.obs != nil {
-		mark = time.Now()
-	}
-	for _, nd := range s.nodes {
-		nd.act(s)
-	}
-	if !s.drain() {
-		return
-	}
-	s.eng.c.done(1)
-	for {
-		if s.obs != nil {
-			now := time.Now()
-			s.obs.Busy(now.Sub(mark))
-			mark = now
-		}
-		select {
-		case <-s.eng.c.stop:
-			return
-		case b := <-s.rx:
-			if s.obs != nil {
-				now := time.Now()
-				s.obs.Idle(now.Sub(mark))
-				mark = now
-				s.obs.Mailbox(len(s.tx) + 1) // the batch in hand plus ingress backlog
-			}
-			for _, m := range b.msgs {
-				s.process(m)
-			}
-			s.eng.recycle(b)
-			if !s.drain() {
-				return
-			}
-			s.eng.c.done(1)
-		}
-	}
-}
-
-// drain runs the local queue to exhaustion — deliveries may enqueue
-// further local messages, so the length is re-read every iteration — and
-// then flushes the outboxes. It reports false if the engine stopped, in
-// which case the shard goroutine must exit immediately.
-func (s *shard) drain() bool {
-	for i := 0; i < len(s.local); i++ {
-		if i%drainStopCheck == 0 && s.eng.c.stopped() {
-			return false
-		}
-		s.process(s.local[i])
-	}
-	s.local = s.local[:0]
-	return s.flush()
-}
-
-// flush sends every non-empty outbox to its destination shard as a single
-// batch, closing the coalescing window. The batch's in-flight token is
-// added before the send, so the counter can never reach zero while a batch
-// exists; the receiving shard retires the token after fully processing the
-// batch and returns the buffer to the pool. The window's pending remote
-// and coalesced counts fold into the shared atomics here — once per flush,
-// never per message.
-func (s *shard) flush() bool {
-	if s.remotePending > 0 {
-		s.eng.c.remote.Add(s.remotePending)
-		s.obs.Remote(s.remotePending)
-		s.remotePending = 0
-	}
-	if s.coalescedPending > 0 {
-		s.eng.c.coalesced.Add(s.coalescedPending)
-		s.obs.Coalesced(s.coalescedPending)
-		s.coalescedPending = 0
-	}
-	if len(s.coalesce) > 0 {
-		clear(s.coalesce)
-	}
-	for d, b := range s.out {
-		if b == nil {
-			continue
-		}
-		s.eng.c.addBatches(1)
-		if s.obs != nil {
-			s.obs.Batch(len(b.msgs))
-		}
-		select {
-		case s.eng.shards[d].tx <- b:
-		case <-s.eng.c.stop:
-			return false
-		}
-		s.out[d] = nil // the receiving shard owns the batch now
-	}
-	return true
 }

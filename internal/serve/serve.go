@@ -17,8 +17,8 @@
 //   - The write plane (POST /links, POST /churn) forwards topology
 //     changes to the network's control plane, which serializes them
 //     against the protocol exactly as direct AddLink/FailLink calls do.
-//     Request bodies are capped at 1 MiB; a larger one is answered with
-//     413 and none of its operations is applied.
+//     Request bodies are capped at 1 MiB and 1 024 operations; a larger
+//     one is answered with 413 and none of its operations is applied.
 //
 // Because publications are quiescence-gated, every snapshot the read
 // plane serves is a consistent global state: acyclic, and
@@ -149,6 +149,18 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) int
 // and /churn. A larger body is refused with 413 before any operation in it
 // is applied.
 const maxBodyBytes = 1 << 20
+
+// maxScriptOps bounds the operations of one write request: the ops of a
+// POST /churn script, or len(Add)+len(Fail) of a POST /links body. A
+// larger request is refused with 413 before any operation in it is
+// applied, so one small body cannot queue unbounded control-plane work.
+const maxScriptOps = 1024
+
+// tooManyOps answers a request carrying more than maxScriptOps operations
+// with 413.
+func tooManyOps(w http.ResponseWriter, what string, n int) int {
+	return writeError(w, http.StatusRequestEntityTooLarge, "%s has %d operations, limit %d", what, n, maxScriptOps)
+}
 
 // decodeBody decodes the JSON request body of a write endpoint into v,
 // reading at most maxBodyBytes. On failure it answers the request itself —
@@ -307,6 +319,9 @@ func (s *Server) handleLinks(w http.ResponseWriter, r *http.Request) int {
 	if code, ok := decodeBody(w, r, "links body", &req); !ok {
 		return code
 	}
+	if n := len(req.Add) + len(req.Fail); n > maxScriptOps {
+		return tooManyOps(w, "links body", n)
+	}
 	var resp linksResponse
 	apply := func(what string, e [2]graph.NodeID, err error) {
 		if err != nil {
@@ -352,6 +367,9 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) int {
 	var script []churnOp
 	if code, ok := decodeBody(w, r, "churn script", &script); !ok {
 		return code
+	}
+	if len(script) > maxScriptOps {
+		return tooManyOps(w, "churn script", len(script))
 	}
 	results := make([]churnResult, 0, len(script))
 	failed := false

@@ -257,6 +257,41 @@ func TestChurnRejectsOversizedBody(t *testing.T) {
 	}
 }
 
+// TestWriteRejectsTooManyOps sends write requests one operation over
+// maxScriptOps, each well under the body limit: the server must answer 413
+// and apply none of them — no node is minted and no link is failed.
+func TestWriteRejectsTooManyOps(t *testing.T) {
+	net, ts := newTestServer(t, 4)
+	script := make([]churnOp, maxScriptOps+1)
+	for i := range script {
+		script[i] = churnOp{Op: "add-node"}
+	}
+	var e map[string]string
+	if code := postJSON(t, ts.URL+"/churn", script, &e); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("churn with %d ops = %d, want 413", len(script), code)
+	}
+	if e["error"] == "" {
+		t.Error("413 should explain itself")
+	}
+	links := linksRequest{Fail: [][2]graph.NodeID{{1, 2}}}
+	for len(links.Add) <= maxScriptOps-len(links.Fail) {
+		links.Add = append(links.Add, [2]graph.NodeID{0, 3})
+	}
+	if code := postJSON(t, ts.URL+"/links", links, &e); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("links with %d ops = %d, want 413", len(links.Add)+len(links.Fail), code)
+	}
+	if err := net.AwaitQuiescence(); err != nil {
+		t.Fatalf("network after refused requests: %v", err)
+	}
+	snap := net.Snapshot()
+	if got := snap.NumNodes(); got != 4 {
+		t.Errorf("node count %d after a refused script, want 4", got)
+	}
+	if got := snap.Links(1); len(got) != 2 {
+		t.Errorf("node 1 links = %v after a refused links body, want both chain links", got)
+	}
+}
+
 func TestChurnPartitionIsReportNotFailure(t *testing.T) {
 	_, ts := newTestServer(t, 6)
 

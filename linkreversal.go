@@ -517,9 +517,10 @@ const (
 	DistTraceOff = dist.TraceOff
 )
 
-// DistOptions tunes RunDistributedWith: shard count and partition scheme, mailbox capacity, trace recording, the runaway-step
-// slack, and the network adversary (Adversary field; nil = reliable
-// network). The zero value reproduces RunDistributed's behaviour.
+// DistOptions tunes RunDistributedWith: shard count and partition scheme,
+// mailbox capacity, trace recording, and the network adversary (Adversary
+// field; nil = reliable network). The zero value reproduces
+// RunDistributed's behaviour.
 type DistOptions = dist.Options
 
 // EngineObserver is the engine-deep observability hook for both execution
