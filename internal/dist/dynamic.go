@@ -49,17 +49,18 @@ type DynamicNetwork struct {
 	opts DynOptions
 	n    int
 	dest graph.NodeID
-	// adj is the control plane's authoritative current link set.
-	adj map[graph.Edge]bool
-	// adjCache is the sorted adjacency derived from adj, rebuilt lazily
-	// after churn (adjDirty) and aliased read-only by Snapshots, so
-	// snapshots between churn events don't pay O(E log E) under mu.
-	adjCache [][]graph.NodeID
-	adjDirty bool
-	// degree is maintained incrementally by the link operations; zeroDeg
-	// counts live non-destination nodes with no links at all (trivially cut
-	// off), so the quiescence check needs no per-call scan.
-	degree  []int
+	// adj is the control plane's authoritative current link set: adj[u]
+	// lists u's live neighbours in ascending order. Rows are copy-on-write —
+	// a churn op replaces the rows of the two nodes it touches with fresh
+	// slices and never writes into a row in place — so snapshots alias adj
+	// and every untouched row is shared by all epochs. adjShared records
+	// that a snapshot aliases the row-header table itself; the first row
+	// replacement after that clones the table once (see setRowLocked).
+	adj       [][]graph.NodeID
+	adjShared bool
+	// zeroDeg counts live non-destination nodes with no links at all
+	// (trivially cut off), maintained by setRowLocked, so the quiescence
+	// check needs no per-call scan.
 	zeroDeg int
 	// heights and gens mirror every node's current height and generation
 	// (updated by the node under mu at step time, and by the control plane
@@ -161,8 +162,7 @@ func NewDynamicNetworkWith(topo *workload.Topology, opts DynOptions) (*DynamicNe
 		opts:       opts,
 		n:          n,
 		dest:       topo.Dest,
-		adj:        make(map[graph.Edge]bool, topo.Graph.NumEdges()),
-		degree:     make([]int, n),
+		adj:        make([][]graph.NodeID, n),
 		heights:    make([]DynHeight, n),
 		gens:       make([]uint32, n),
 		suspended:  bitset.NewSet(n),
@@ -187,18 +187,14 @@ func NewDynamicNetworkWith(topo *workload.Topology, opts DynOptions) (*DynamicNe
 	}
 	d.ceiling = d.slack
 	d.ceilingB = -d.minB + d.slack
-	for _, e := range topo.Graph.Edges() {
-		d.adj[e] = true
-		d.degree[e.U]++
-		d.degree[e.V]++
-	}
-	for u, deg := range d.degree {
-		if deg == 0 && graph.NodeID(u) != d.dest {
+	// The graph's neighbour lists are already sorted and immutable, so the
+	// initial rows alias them; clipping makes any append reallocate.
+	for u := range d.adj {
+		d.adj[u] = slices.Clip(topo.Graph.Neighbors(graph.NodeID(u)))
+		if len(d.adj[u]) == 0 && graph.NodeID(u) != d.dest {
 			d.zeroDeg++
 		}
 	}
-	d.adjDirty = true
-	d.rebuildAdjLocked()
 	if opts.Adversary != nil {
 		d.inj = faults.NewInjector(opts.Adversary)
 	}
@@ -211,8 +207,8 @@ func NewDynamicNetworkWith(topo *workload.Topology, opts DynOptions) (*DynamicNe
 		// The initial topology and heights are common knowledge at startup:
 		// every node knows its neighbours' initial heights, exactly as the
 		// sequential engines assume a globally known initial orientation.
-		// adjCache is ascending, so appending keeps the view list sorted.
-		for _, v := range d.adjCache[u] {
+		// Rows are ascending, so appending keeps the view list sorted.
+		for _, v := range d.adj[u] {
 			st.nbrs = append(st.nbrs, nbrView{id: v, h: d.heights[v], known: true})
 		}
 		states[u] = st
@@ -230,23 +226,50 @@ func NewDynamicNetworkWith(topo *workload.Topology, opts DynOptions) (*DynamicNe
 	return d, nil
 }
 
-// rebuildAdjLocked refreshes the sorted adjacency cache after churn. It
-// always builds fresh slices, so snapshots that alias the previous cache
-// stay valid. Callers must hold mu.
-func (d *DynamicNetwork) rebuildAdjLocked() {
-	if !d.adjDirty {
-		return
+// setRowLocked replaces u's adjacency row and keeps the zero-degree tally.
+// If a snapshot aliases the row-header table, the table is cloned first, so
+// the snapshot keeps its headers and rows. Callers must hold mu.
+func (d *DynamicNetwork) setRowLocked(u graph.NodeID, row []graph.NodeID) {
+	if d.adjShared {
+		d.adj = slices.Clone(d.adj)
+		d.adjShared = false
 	}
-	adj := make([][]graph.NodeID, d.n)
-	for e := range d.adj {
-		adj[e.U] = append(adj[e.U], e.V)
-		adj[e.V] = append(adj[e.V], e.U)
+	if u != d.dest && !d.dead.Test(int(u)) {
+		switch {
+		case len(d.adj[u]) == 0 && len(row) > 0:
+			d.zeroDeg--
+		case len(d.adj[u]) > 0 && len(row) == 0:
+			d.zeroDeg++
+		}
 	}
-	for _, nbrs := range adj {
-		slices.Sort(nbrs)
-	}
-	d.adjCache = adj
-	d.adjDirty = false
+	d.adj[u] = row
+}
+
+// linkRowLocked replaces u's row with a fresh copy that includes v.
+func (d *DynamicNetwork) linkRowLocked(u, v graph.NodeID) {
+	row := d.adj[u]
+	i, _ := slices.BinarySearch(row, v)
+	next := make([]graph.NodeID, len(row)+1)
+	copy(next, row[:i])
+	next[i] = v
+	copy(next[i+1:], row[i:])
+	d.setRowLocked(u, next)
+}
+
+// unlinkRowLocked replaces u's row with a fresh copy that omits v.
+func (d *DynamicNetwork) unlinkRowLocked(u, v graph.NodeID) {
+	row := d.adj[u]
+	i, _ := slices.BinarySearch(row, v)
+	next := make([]graph.NodeID, len(row)-1)
+	copy(next, row[:i])
+	copy(next[i:], row[i+1:])
+	d.setRowLocked(u, next)
+}
+
+// linkedLocked reports whether the link {u,v} exists.
+func (d *DynamicNetwork) linkedLocked(u, v graph.NodeID) bool {
+	_, ok := slices.BinarySearch(d.adj[u], v)
+	return ok
 }
 
 // inject hands one control-plane message to its node's shard. The caller
@@ -275,22 +298,6 @@ func (d *DynamicNetwork) validLinkLocked(u, v graph.NodeID) error {
 		return fmt.Errorf("%w: %d", ErrSelfLink, u)
 	}
 	return nil
-}
-
-// degIncLocked and degDecLocked maintain the incremental degree counts and
-// the zero-degree tally behind the allocation-free quiescence check.
-func (d *DynamicNetwork) degIncLocked(u graph.NodeID) {
-	if d.degree[u] == 0 && u != d.dest && !d.dead.Test(int(u)) {
-		d.zeroDeg--
-	}
-	d.degree[u]++
-}
-
-func (d *DynamicNetwork) degDecLocked(u graph.NodeID) {
-	d.degree[u]--
-	if d.degree[u] == 0 && u != d.dest && !d.dead.Test(int(u)) {
-		d.zeroDeg++
-	}
 }
 
 // raiseCeilingLocked gives the runaway backstops fresh headroom above the
@@ -324,14 +331,12 @@ func (d *DynamicNetwork) AddLink(u, v graph.NodeID) error {
 		d.mu.Unlock()
 		return err
 	}
-	if d.adj[e] {
+	if d.linkedLocked(u, v) {
 		d.mu.Unlock()
 		return fmt.Errorf("%w: {%d,%d}", ErrLinkExists, e.U, e.V)
 	}
-	d.adj[e] = true
-	d.degIncLocked(e.U)
-	d.degIncLocked(e.V)
-	d.adjDirty = true
+	d.linkRowLocked(u, v)
+	d.linkRowLocked(v, u)
 	d.topoVer++
 	d.raiseCeilingLocked()
 	var erase []dynMsg
@@ -378,14 +383,12 @@ func (d *DynamicNetwork) FailLink(u, v graph.NodeID) error {
 		d.mu.Unlock()
 		return err
 	}
-	if !d.adj[e] {
+	if !d.linkedLocked(u, v) {
 		d.mu.Unlock()
 		return fmt.Errorf("%w: {%d,%d}", ErrNoSuchLink, e.U, e.V)
 	}
-	delete(d.adj, e)
-	d.degDecLocked(e.U)
-	d.degDecLocked(e.V)
-	d.adjDirty = true
+	d.unlinkRowLocked(u, v)
+	d.unlinkRowLocked(v, u)
 	d.topoVer++
 	d.inflight += 2
 	d.mu.Unlock()
@@ -410,7 +413,6 @@ func (d *DynamicNetwork) AddNode() (graph.NodeID, error) {
 	d.slack = 8*d.n + 64
 	d.heights = append(d.heights, DynHeight{H: core.Height{ID: id}})
 	d.gens = append(d.gens, 0)
-	d.degree = append(d.degree, 0)
 	d.zeroDeg++
 	d.suspended.Grow(d.n)
 	d.detected.Grow(d.n)
@@ -420,7 +422,7 @@ func (d *DynamicNetwork) AddNode() (graph.NodeID, error) {
 	d.reach.Grow(d.n)
 	d.inR.Grow(d.n)
 	d.depth = append(d.depth, 0)
-	d.adjCache = append(d.adjCache, nil)
+	d.adj = append(d.adj, nil)
 	d.topoVer++
 	d.inflight++ // the new node's start message
 	st := &dynState{net: d, id: id, h: d.heights[id]}
@@ -448,18 +450,16 @@ func (d *DynamicNetwork) RemoveNode(u graph.NodeID) error {
 		d.mu.Unlock()
 		return fmt.Errorf("%w: cannot remove the destination %d", ErrSelfLink, u)
 	}
-	d.rebuildAdjLocked()
-	links := d.adjCache[u]
+	links := d.adj[u]
 	for _, v := range links {
-		delete(d.adj, graph.NormalizedEdge(u, v))
-		d.degDecLocked(u)
-		d.degDecLocked(v)
+		d.unlinkRowLocked(v, u)
 	}
 	// u is dead now: retract its zero-degree tally and partition marks.
-	if d.degree[u] == 0 {
+	if len(links) == 0 {
 		d.zeroDeg--
 	}
 	d.dead.Set(int(u))
+	d.setRowLocked(u, nil)
 	d.crashedCtl[u] = false
 	if d.cut.Test(int(u)) {
 		d.cut.Clear(int(u))
@@ -473,7 +473,6 @@ func (d *DynamicNetwork) RemoveNode(u graph.NodeID) error {
 		d.suspended.Clear(int(u))
 		d.suspendedCount--
 	}
-	d.adjDirty = true
 	d.topoVer++
 	d.inflight += 1 + len(links)
 	d.mu.Unlock()
@@ -512,10 +511,11 @@ func (d *DynamicNetwork) Crash(u graph.NodeID) error {
 }
 
 // Recover ends u's crash window. The node resumes from the control plane's
-// snapshot: the recovery message carries the authoritative neighbourhood
-// with current heights and generations (the node missed every link event
-// and announcement while crashed), and the node re-announces itself so
-// peers whose introductions it dropped catch up.
+// state: the recovery message carries the authoritative neighbourhood (the
+// node missed every link event and announcement while crashed), the node
+// reads its neighbours' current heights and generations from the mirrors
+// when it handles the message, and it re-announces itself so peers whose
+// introductions it dropped catch up.
 func (d *DynamicNetwork) Recover(u graph.NodeID) error {
 	d.ctl.Lock()
 	defer d.ctl.Unlock()
@@ -532,15 +532,11 @@ func (d *DynamicNetwork) Recover(u graph.NodeID) error {
 		d.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrNotCrashed, u)
 	}
-	d.rebuildAdjLocked()
-	views := make([]nbrView, 0, len(d.adjCache[u]))
-	for _, v := range d.adjCache[u] {
-		views = append(views, nbrView{id: v, h: d.heights[v], gen: d.gens[v], known: true})
-	}
+	nbrs := d.adj[u]
 	d.crashedCtl[u] = false
 	d.inflight++
 	d.mu.Unlock()
-	d.inject(dynMsg{Kind: dynRecover, To: u, Views: views})
+	d.inject(dynMsg{Kind: dynRecover, To: u, Nbrs: nbrs})
 	return nil
 }
 
@@ -548,13 +544,12 @@ func (d *DynamicNetwork) Recover(u graph.NodeID) error {
 // authoritative adjacency into the reach scratch. Dead nodes have no links
 // and are never visited; crashed nodes count as connectors.
 func (d *DynamicNetwork) computeReachLocked() {
-	d.rebuildAdjLocked()
 	d.reach.ClearAll()
 	q := d.queue[:0]
 	d.reach.Set(int(d.dest))
 	q = append(q, d.dest)
 	for h := 0; h < len(q); h++ {
-		for _, v := range d.adjCache[q[h]] {
+		for _, v := range d.adj[q[h]] {
 			if !d.reach.Test(int(v)) {
 				d.reach.Set(int(v))
 				q = append(q, v)
@@ -622,7 +617,7 @@ func (d *DynamicNetwork) eraseLocked() []dynMsg {
 	// Layer assignment: multi-source BFS from the region's frontier.
 	q := d.queue[:0]
 	for u := d.inR.NextSet(0); u >= 0; u = d.inR.NextSet(u + 1) {
-		for _, v := range d.adjCache[u] {
+		for _, v := range d.adj[u] {
 			if !d.inR.Test(int(v)) && !d.dead.Test(int(v)) {
 				d.depth[u] = 0
 				q = append(q, graph.NodeID(u))
@@ -632,7 +627,7 @@ func (d *DynamicNetwork) eraseLocked() []dynMsg {
 	}
 	for h := 0; h < len(q); h++ {
 		u := q[h]
-		for _, v := range d.adjCache[u] {
+		for _, v := range d.adj[u] {
 			if d.inR.Test(int(v)) && d.depth[v] == -1 {
 				d.depth[v] = d.depth[u] + 1
 				q = append(q, v)
@@ -669,7 +664,7 @@ func (d *DynamicNetwork) eraseLocked() []dynMsg {
 	// (per-receiver FIFO delivers the earlier-enqueued correction first).
 	var msgs []dynMsg
 	for u := d.inR.NextSet(0); u >= 0; u = d.inR.NextSet(u + 1) {
-		for _, v := range d.adjCache[u] {
+		for _, v := range d.adj[u] {
 			if !d.inR.Test(int(v)) && !d.dead.Test(int(v)) {
 				msgs = append(msgs, dynMsg{
 					Kind: dynHeight, To: v, Peer: graph.NodeID(u),
@@ -679,13 +674,9 @@ func (d *DynamicNetwork) eraseLocked() []dynMsg {
 		}
 	}
 	for u := d.inR.NextSet(0); u >= 0; u = d.inR.NextSet(u + 1) {
-		views := make([]nbrView, 0, len(d.adjCache[u]))
-		for _, v := range d.adjCache[u] {
-			views = append(views, nbrView{id: v, h: d.heights[v], gen: d.gens[v], known: true})
-		}
 		msgs = append(msgs, dynMsg{
 			Kind: dynReset, To: graph.NodeID(u),
-			H: d.heights[u], Gen: d.gens[u], Views: views,
+			H: d.heights[u], Gen: d.gens[u], Nbrs: d.adj[u],
 		})
 	}
 	return msgs
@@ -703,9 +694,9 @@ func (d *DynamicNetwork) eraseLocked() []dynMsg {
 // control plane's adjacency, so the report is exact regardless of how the
 // protocol signalled (reflection, ceiling park, an isolated node, or a
 // component silenced by a crash). On the clean path the check is
-// allocation-free: degree counts are incremental and the BFS scratch is
-// reused, and the BFS is skipped entirely when no partition signal, crash
-// or zero-degree node exists to justify it.
+// allocation-free: the zero-degree tally is incremental and the BFS
+// scratch is reused, and the BFS is skipped entirely when no partition
+// signal, crash or zero-degree node exists to justify it.
 func (d *DynamicNetwork) AwaitQuiescence() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -751,10 +742,14 @@ func (d *DynamicNetwork) AwaitQuiescence() error {
 		if d.suspendedCount > 0 {
 			// Ceiling parks with full reachability: a legitimate cascade
 			// outran the runaway backstop. Raise it and resume the parked
-			// nodes.
+			// nodes. A crashed node drops pokes, so poking it would loop
+			// here forever; it resumes when Recover delivers.
 			d.raiseCeilingLocked()
 			pokes := 0
 			for id := d.suspended.NextSet(0); id >= 0; id = d.suspended.NextSet(id + 1) {
+				if d.crashedCtl[id] {
+					continue
+				}
 				pokes++
 				d.inflight++
 				id := graph.NodeID(id)
@@ -831,9 +826,9 @@ type Snapshot struct {
 // removed nodes, which Removed reports).
 func (s *Snapshot) NumNodes() int { return len(s.Heights) }
 
-// Snapshot captures the network's current global state. Between churn
-// events the sorted adjacency is served from a cache, so repeated
-// snapshots cost O(n) copies, not O(E log E) sorts under mu.
+// Snapshot captures the network's current global state. It shares the
+// control plane's copy-on-write adjacency rows and copies the heights and
+// dead marks, so it costs O(n) copies under mu whatever the churn.
 func (d *DynamicNetwork) Snapshot() *Snapshot {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -841,10 +836,12 @@ func (d *DynamicNetwork) Snapshot() *Snapshot {
 }
 
 // snapshotLocked builds an immutable snapshot of the current state.
-// Callers must hold mu. The snapshot aliases adjCache (rebuilt fresh after
-// churn, so earlier snapshots stay valid) and copies everything else.
+// Callers must hold mu. The snapshot aliases the row-header table and its
+// rows and marks the table shared, so the next churn op clones the table
+// before replacing a row and this snapshot never changes. Everything else
+// is copied.
 func (d *DynamicNetwork) snapshotLocked() *Snapshot {
-	d.rebuildAdjLocked()
+	d.adjShared = true
 	s := &Snapshot{
 		Quiescent:      d.inflight == 0,
 		Steps:          d.stats.Steps,
@@ -853,7 +850,7 @@ func (d *DynamicNetwork) snapshotLocked() *Snapshot {
 		Retransmits:    int(d.retrans.Load()),
 		Dest:           d.dest,
 		Heights:        make([]DynHeight, d.n),
-		adj:            d.adjCache,
+		adj:            d.adj,
 		dead:           make([]bool, d.n),
 	}
 	copy(s.Heights, d.heights)
@@ -961,7 +958,9 @@ func (d *DynamicNetwork) publisher(every time.Duration) {
 	}
 }
 
-// Links returns the snapshot's live neighbours of u in ascending order.
+// Links returns the snapshot's live neighbours of u in ascending order. The
+// returned slice is shared with the network and with other snapshots and
+// must not be modified by callers.
 func (s *Snapshot) Links(u graph.NodeID) []graph.NodeID {
 	if int(u) < 0 || int(u) >= len(s.adj) {
 		return nil

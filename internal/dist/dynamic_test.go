@@ -338,8 +338,9 @@ func TestSnapshotRouteFromEdgeCases(t *testing.T) {
 }
 
 // TestSnapshotAdjacencyCached checks that snapshots between churn events
-// share the cached sorted adjacency (no O(E log E) rebuild under mu) and
-// that a snapshot taken before churn is not mutated by it.
+// share the adjacency header table, that a churn op replaces only the rows
+// it touches (the new snapshot shares every other row with the old one),
+// and that a snapshot taken before churn is not mutated by it.
 func TestSnapshotAdjacencyCached(t *testing.T) {
 	net, err := NewDynamicNetwork(workload.Grid(3, 3))
 	if err != nil {
@@ -355,6 +356,7 @@ func TestSnapshotAdjacencyCached(t *testing.T) {
 		t.Error("consecutive quiescent snapshots rebuilt the adjacency")
 	}
 	before := append([]graph.NodeID(nil), s1.Links(0)...)
+	want := snapClone(s1)
 	if err := net.FailLink(0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -368,6 +370,16 @@ func TestSnapshotAdjacencyCached(t *testing.T) {
 	if len(s3.Links(0)) != len(before)-1 {
 		t.Errorf("new snapshot missed the failure: %v", s3.Links(0))
 	}
+	// Node 4 is not an endpoint of the failed link: its row is shared.
+	if &s1.adj[4][0] != &s3.adj[4][0] {
+		t.Error("churn copied a row it did not touch")
+	}
+	for _, u := range []graph.NodeID{0, 1} {
+		if &s1.adj[u][0] == &s3.adj[u][0] {
+			t.Errorf("row %d of the failed link's endpoint is shared with the old snapshot", u)
+		}
+	}
+	requireSnapEqual(t, want, s1, "snapshot held across churn")
 }
 
 // TestAwaitQuiescenceAllocFree pins the satellite fix: on the clean path

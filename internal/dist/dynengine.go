@@ -18,11 +18,11 @@ type dynShard struct {
 
 // startShards builds the shard runtime over the construction-time states
 // and launches it. The partitioner grows its locality regions over the
-// initial topology (adjCache is built before this call); links added later
-// do not re-partition — assignments are fixed at construction.
+// initial adjacency rows; links added later do not re-partition —
+// assignments are fixed at construction.
 func (d *DynamicNetwork) startShards(states []*dynState) {
 	part := newPartitioner(d.opts.Partition, len(states), d.opts.Shards,
-		func(u graph.NodeID) []graph.NodeID { return d.adjCache[u] })
+		func(u graph.NodeID) []graph.NodeID { return d.adj[u] })
 	d.states.Store(&states)
 	d.rt = newShardRuntime[dynMsg](d, part, d.opts.MailboxCap, d.opts.Observer, d.stop, &d.wg)
 	d.shards = make([]*dynShard, len(d.rt.workers))

@@ -175,10 +175,10 @@ const (
 	// dynCrash crash-stops the receiver: it drops all protocol traffic
 	// until it recovers.
 	dynCrash
-	// dynRecover ends a crash window. Views carries the control plane's
-	// authoritative snapshot of the node's neighbourhood (the node missed
-	// every link event and announcement while crashed), and the node
-	// re-announces its height so peers that failed to reach it catch up.
+	// dynRecover ends a crash window. Nbrs carries the control plane's
+	// authoritative neighbourhood (the node missed every link event and
+	// announcement while crashed), and the node re-announces its height so
+	// peers that failed to reach it catch up.
 	dynRecover
 	// dynRemove permanently removes the receiver from the network.
 	dynRemove
@@ -203,7 +203,7 @@ type dynMsg struct {
 	// requeues the message behind its current backlog Hold times before
 	// delivering it.
 	Hold uint8
-	// Views is the authoritative neighbourhood carried by dynRecover and
-	// dynReset, sorted by peer ID.
-	Views []nbrView
+	// Nbrs is the authoritative neighbourhood carried by dynRecover and
+	// dynReset: the control plane's immutable adjacency row, ascending.
+	Nbrs []graph.NodeID
 }

@@ -124,7 +124,10 @@ func (st *dynState) commit(env dynEnv, newH DynHeight) bool {
 	}
 	net.mu.Lock()
 	if newH.H.A > net.ceiling || -newH.H.B > net.ceilingB {
-		if !net.suspended.Test(int(st.id)) {
+		// A node removed while its queue still drains must not mark
+		// itself: RemoveNode retracted its marks, and AwaitQuiescence
+		// would wait forever for an erasure that skips dead nodes.
+		if !net.suspended.Test(int(st.id)) && !net.dead.Test(int(st.id)) {
 			net.suspended.Set(int(st.id))
 			net.suspendedCount++
 		}
@@ -133,7 +136,12 @@ func (st *dynState) commit(env dynEnv, newH DynHeight) bool {
 		return false
 	}
 	st.h = newH
-	net.heights[st.id] = newH
+	if st.gen == net.gens[st.id] {
+		// Otherwise a reset of this node is in flight and the step belongs
+		// to the erased generation: the mirror already holds the reset's
+		// height, which the node adopts on delivery.
+		net.heights[st.id] = newH
+	}
 	if newH.H.A > net.maxA {
 		net.maxA = newH.H.A
 	}
@@ -227,7 +235,7 @@ func (st *dynState) act(env dynEnv) {
 			// a control-plane reset revives the component.
 			st.detected = true
 			net.mu.Lock()
-			if !net.detected.Test(int(st.id)) {
+			if !net.detected.Test(int(st.id)) && !net.dead.Test(int(st.id)) {
 				net.detected.Set(int(st.id))
 				net.detectedCount++
 			}
@@ -303,6 +311,24 @@ func (st *dynState) linkDown(env dynEnv, peer graph.NodeID) {
 	}
 }
 
+// adoptNbrs replaces the node's views with the control plane's
+// authoritative neighbourhood, reading each neighbour's height and
+// generation from the mirrors at delivery rather than when the control
+// plane sent the message: announcements the node dropped while crashed, or
+// that overtook the message and were overwritten by it, are then not lost.
+// A neighbour's later commit is announced behind this message and merges
+// as usual.
+func (st *dynState) adoptNbrs(nbrs []graph.NodeID) {
+	net := st.net
+	st.nbrs = st.nbrs[:0]
+	net.mu.Lock()
+	for _, v := range nbrs {
+		st.nbrs = append(st.nbrs, nbrView{id: v, h: net.heights[v], gen: net.gens[v], known: true})
+	}
+	net.mu.Unlock()
+	st.pending = st.pending[:0]
+}
+
 // handle processes one message and re-evaluates the node's protocol state.
 // A held-back message is requeued instead.
 func (st *dynState) handle(env dynEnv, m dynMsg) {
@@ -327,8 +353,7 @@ func (st *dynState) handle(env dynEnv, m dynMsg) {
 		return
 	case dynRecover:
 		st.crashed = false
-		st.nbrs = append(st.nbrs[:0], m.Views...)
-		st.pending = st.pending[:0]
+		st.adoptNbrs(m.Nbrs)
 		st.announceAll(env)
 	case dynReset:
 		// Control-plane height erasure: adopt the authoritative height,
@@ -341,8 +366,7 @@ func (st *dynState) handle(env dynEnv, m dynMsg) {
 		st.definedTau = 0
 		st.detected = false
 		st.parked = false
-		st.nbrs = append(st.nbrs[:0], m.Views...)
-		st.pending = st.pending[:0]
+		st.adoptNbrs(m.Nbrs)
 		if st.crashed {
 			return
 		}

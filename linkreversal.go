@@ -79,6 +79,9 @@ type (
 	// exact partition detection, on a sharded worker pool.
 	DynamicNetwork = dist.DynamicNetwork
 	// NetworkSnapshot is the quiescent global state of a DynamicNetwork.
+	// It is immutable: the neighbour slices its Links method returns are
+	// shared with the network and with other snapshots and must not be
+	// modified by callers.
 	NetworkSnapshot = dist.Snapshot
 	// DynNetOptions tunes NewDynamicNetworkWith: shard count and
 	// partitioning, and the network adversary aimed at the
